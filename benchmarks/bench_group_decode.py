@@ -5,8 +5,9 @@ The decode hot path at batch 16: every engine step used to dispatch one
 resolution, gather, score GEMV, masked softmax and bookkeeping on tiny
 arrays.  The group-vectorized path executes each policy-homogeneous span
 as **one** ``decode_step_group`` call per layer: one padded multi-sequence
-gather through the shared page arena, one batched score GEMM, one batched
-masked attention, one masked-argmin eviction / argsort selection for the
+gather through the shared page arena, one batched score GEMM, one
+masked-argmin eviction / tie-exact top-k selection and one batched
+attention (over the selected rows only, for the top-k policies) for the
 whole span — per-step dispatch cost is O(groups), not O(batch).
 
 Measured: mean wall-clock per decode step (best of ``REPEATS`` runs per

@@ -255,6 +255,38 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+def top_k_rows(scores: np.ndarray, valid: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise :func:`top_k_indices` of a padded ``[S, T]`` score table.
+
+    Returns ``[S, min(k, T)]`` column indices equal to
+    ``np.argsort(np.where(valid, -scores, np.inf), axis=1,
+    kind="stable")[:, :k]``: descending score, ties toward the lower index,
+    padding (``valid`` False) ranked last.  Row ``s``'s first ``k_s <= k``
+    entries are therefore ``top_k_indices(scores[s, :n_s], k_s)`` for any
+    ragged per-row ``k_s``.
+
+    An ``argpartition`` finds each row's ``k``-th smallest key; every key
+    below it is taken, and the keys equal to it are taken in index order
+    until the row holds ``k`` — exactly the tie-break a stable sort makes.
+    Only those ``k`` columns are then sorted, instead of the whole row.
+    """
+    keys = np.where(valid, -np.asarray(scores, dtype=np.float64), np.inf)
+    rows, width = keys.shape
+    if k >= width:
+        return np.argsort(keys, axis=1, kind="stable")
+    kth = np.argpartition(keys, k - 1, axis=1)[:, k - 1 : k]
+    threshold = np.take_along_axis(keys, kth, axis=1)
+    below = keys < threshold
+    tied = keys == threshold
+    room = k - below.sum(axis=1, keepdims=True)
+    chosen = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    columns = np.nonzero(chosen)[1].reshape(rows, k)  # ascending index
+    order = np.argsort(
+        np.take_along_axis(keys, columns, axis=1), axis=1, kind="stable"
+    )
+    return np.take_along_axis(columns, order, axis=1)
+
+
 def causal_mask(
     cached_positions: np.ndarray, query_position: int
 ) -> np.ndarray:
@@ -355,6 +387,7 @@ __all__ = [
     "sparse_attention_output",
     "full_vs_sparse_error",
     "top_k_indices",
+    "top_k_rows",
     "causal_mask",
     "accumulate_scores",
     "attention_flops",

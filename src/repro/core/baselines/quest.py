@@ -19,8 +19,9 @@ from ..attention import (
     head_mean_scores,
     sparse_attention_output,
     top_k_indices,
+    top_k_rows,
 )
-from ..group_decode import batched_group_attention
+from ..group_decode import attend_selected, read_group_keys
 from ..policy import (
     KVCachePolicy,
     SpeculationState,
@@ -195,66 +196,109 @@ class QuestPolicy(WholePromptStoreMixin, KVCachePolicy):
         positions: Sequence[int],
         group: Sequence["KVCachePolicy"],
     ) -> Optional[np.ndarray]:
-        """Vectorized query-aware decode for a whole policy group.
+        """Vectorized query-aware decode for a whole policy group: select, then attend.
 
-        One padded gather serves every member; when the group shares a
-        page size, the Quest bounding-box criticality of **all** members'
-        pages is computed as one ``[S, pages]`` score tensor (element-wise
-        min/max page bounds over the padded keys, then the upper-bound
-        reduction) before each member's deterministic top-k pick.  The
-        sparse attention over the selected tokens runs as one batched
-        masked call — unselected and padded entries score ``-inf`` so
-        their softmax weight is exactly zero, matching the serial
-        gather-the-subset computation.
+        1. K of every member's stored rows is read once (one padded
+           gather).
+        2. When the group shares a page size, the Quest bounding-box
+           criticality of **all** members' pages is one ``[S, pages]``
+           score tensor (element-wise min/max page bounds over the padded
+           keys, then the upper-bound reduction), and every member's top
+           pages come from one tie-exact
+           :func:`~repro.core.attention.top_k_rows` call (ragged page
+           budgets masked), plus its newest page.
+        3. V is read for the selected tokens only, padded to the group's
+           largest pick.
+        4. Softmax attention runs over those ``[S, k_max]`` rows.
         """
         queries = np.asarray(queries, dtype=np.float64)
-        gathered_k, gathered_v, lengths, valid = self._group_insert_and_gather(
-            keys, values, positions, group
+        addresses, gathered_k, valid = read_group_keys(
+            *self._group_insert(keys, values, positions, group)
         )
-        count, t_max = valid.shape
+        lengths = addresses.lengths
         keys64 = np.asarray(gathered_k, dtype=np.float64)
 
         page_sizes = {policy.page_size for policy in group}
-        page_scores = None
         if len(page_sizes) == 1:
-            page_scores = self._group_page_scores(
-                queries, keys64, lengths, valid, page_sizes.pop()
+            chosen = self._group_pick_tokens(
+                queries, keys64, lengths, valid, page_sizes.pop(), group
             )
+        else:
+            # Heterogeneous page sizes: per-member page ranking on the
+            # member's slice (the reads and attention stay batched).
+            chosen = np.zeros_like(valid)
+            for row, policy in enumerate(group):
+                size = int(lengths[row])
+                chosen[
+                    row,
+                    policy._select_page_tokens(queries[row], keys64[row, :size]),
+                ] = True
 
-        select = valid.copy()
-        selections: List[np.ndarray] = []
-        for row, policy in enumerate(group):
-            size = int(lengths[row])
-            if page_scores is None:
-                # Heterogeneous page sizes: per-member page ranking on the
-                # member's slice (the gather and attention stay batched).
-                selected = policy._select_page_tokens(
-                    queries[row], keys64[row, :size]
-                )
-            else:
-                selected = policy._pick_pages(page_scores[row], size)
-            selections.append(selected)
-            if selected.size != size:
-                select[row] = False
-                select[row, selected] = True
+        # Chosen token columns per member, ascending, padded to the
+        # largest pick.
+        counts = chosen.sum(axis=1)
+        selected = np.zeros((len(group), int(counts.max())), dtype=np.int64)
+        rows, cols = np.nonzero(chosen)
+        selected[rows, (np.cumsum(chosen, axis=1) - 1)[rows, cols]] = cols
 
-        scales = np.asarray([policy.scale for policy in group], dtype=np.float64)
-        outputs, _ = batched_group_attention(
-            queries, gathered_k, gathered_v, select, scales=scales
+        selected_keys = np.take_along_axis(
+            keys64, selected[:, :, None, None], axis=1
         )
-        for policy, position, size, selected in zip(
-            group, positions, lengths, selections
-        ):
+        scales = np.asarray([policy.scale for policy in group], dtype=np.float64)
+        outputs = attend_selected(
+            queries,
+            np.einsum("skhd,shd->shk", selected_keys, queries),
+            addresses,
+            selected,
+            counts,
+            scales,
+        )
+        for row, (policy, position) in enumerate(zip(group, positions)):
+            count = int(counts[row])
             stored = np.asarray(policy._positions, dtype=np.int64)
             policy.stats.record(
                 StepRecord(
                     position=int(position),
-                    cache_size=int(size),
-                    num_attended=int(selected.size),
-                    selected_positions=stored[selected],
+                    cache_size=int(lengths[row]),
+                    num_attended=count,
+                    selected_positions=stored[selected[row, :count]],
                 )
             )
         return outputs
+
+    def _group_pick_tokens(
+        self,
+        queries: np.ndarray,
+        keys: np.ndarray,
+        lengths: np.ndarray,
+        valid: np.ndarray,
+        page_size: int,
+        group: Sequence["QuestPolicy"],
+    ) -> np.ndarray:
+        """Every member's selected tokens as one ``[S, T]`` boolean table.
+
+        Per member exactly :meth:`_select_page_tokens`: every page when
+        its pages fit the budget, else its ``num_pages`` best pages
+        (descending score, ties toward the earlier page) plus its newest.
+        """
+        page_scores = self._group_page_scores(
+            queries, keys, lengths, valid, page_size
+        )
+        count, num_pages = page_scores.shape
+        member_pages = -(-lengths // page_size)
+        budgets = np.asarray([policy.num_pages for policy in group])
+        page_valid = np.arange(num_pages)[None, :] < member_pages[:, None]
+        top = top_k_rows(
+            page_scores, page_valid, min(int(budgets.max()), num_pages)
+        )
+        in_budget = np.arange(top.shape[1])[None, :] < budgets[:, None]
+        chosen = np.zeros((count, num_pages), dtype=bool)
+        chosen[np.nonzero(in_budget)[0], top[in_budget]] = True
+        chosen[np.arange(count), member_pages - 1] = True
+        dense = member_pages <= budgets
+        chosen[dense] = page_valid[dense]
+        token_pages = np.arange(valid.shape[1]) // page_size
+        return chosen[:, token_pages] & valid
 
     def _group_page_scores(
         self,
@@ -293,24 +337,6 @@ class QuestPolicy(WholePromptStoreMixin, KVCachePolicy):
                 queries[:, None] * mins, queries[:, None] * maxs
             )
             return upper.sum(axis=-1).mean(axis=-1)  # [S, P]
-
-    def _pick_pages(self, page_scores: np.ndarray, n: int) -> np.ndarray:
-        """Token indices selected from one member's page-score row."""
-        num_pages = math.ceil(n / self.page_size)
-        if num_pages <= self.num_pages:
-            return np.arange(n, dtype=np.int64)
-        chosen_pages = top_k_indices(page_scores[:num_pages], self.num_pages)
-        chosen = set(int(p) for p in chosen_pages)
-        chosen.add(num_pages - 1)
-        selected = np.concatenate(
-            [
-                np.arange(
-                    p * self.page_size, min((p + 1) * self.page_size, n)
-                )
-                for p in sorted(chosen)
-            ]
-        )
-        return np.sort(selected).astype(np.int64)
 
     # ------------------------------------------------------------------
     def _page_bounds(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:

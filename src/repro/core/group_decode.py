@@ -17,10 +17,20 @@ of ``S`` per-sequence ``decode_step`` invocations:
 * :func:`gather_group_kv` — stacked gather of every member's cached K/V
   rows through the paged pool's block tables into one padded
   ``[S, T_max, h, d]`` tensor plus a length mask (sequences sharing a pool
-  arena cost a single arena gather for the whole span).
-* :func:`batched_group_attention` — masked multi-sequence single-query
-  attention over the padded tensors; padded (and unselected) entries are
-  masked to ``-inf`` so their softmax weight is exactly zero.
+  arena cost a single arena gather for the whole span).  The full-attention
+  policies (full cache, H2O, StreamingLLM, SnapKV) attend every row and
+  read this way.
+* :func:`read_group_keys` / :func:`attend_selected` — the select-then-
+  attend flow of the *selection* policies (UniCAIM, Quest), which attend
+  only a top-k subset: read K for every cached row once, score and pick
+  each member's rows (:func:`~repro.core.attention.top_k_rows`, padded to
+  the group's largest pick), then read V for the selected rows only and
+  attend over ``[S, k_max]`` — about a fifth of the V bytes at the
+  paper's reference point, and on quantised arenas only those rows are
+  dequantised.
+* :func:`batched_group_attention` — multi-sequence single-query attention
+  over padded row sets; padding entries are masked to ``-inf`` so their
+  softmax weight is exactly zero.
 * :func:`run_group_decode` — the dispatch loop used by the attention layer:
   vectorized spans go through ``decode_step_group``, everything else falls
   back to the per-sequence ``decode_step`` loop, with both paths counted in
@@ -35,7 +45,12 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .attention import softmax
-from .kv_pool import gather_padded, poison_padding_enabled
+from .kv_pool import (
+    PaddedAddresses,
+    gather_padded,
+    poison_padding_enabled,
+    resolve_padded,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kv_pool import BlockTable
@@ -142,23 +157,63 @@ def gather_group_kv(
     return keys, values, lengths, valid
 
 
+def read_group_keys(
+    tables: Sequence["BlockTable"],
+    slot_lists: Sequence[np.ndarray],
+) -> Tuple[PaddedAddresses, np.ndarray, np.ndarray]:
+    """Read K (not V) of a group's cached rows; keep the addresses for V.
+
+    Returns ``(addresses, keys [S, T, h, d], valid [S, T])``.  The
+    addresses are resolved once; :func:`attend_selected` narrows them to
+    the selected rows for the value read.
+    """
+    addresses = resolve_padded(tables, slot_lists)
+    keys = addresses.keys()
+    valid = np.arange(keys.shape[1])[None, :] < addresses.lengths[:, None]
+    return addresses, keys, valid
+
+
+def attend_selected(
+    queries: np.ndarray,
+    selected_raw: np.ndarray,
+    addresses: PaddedAddresses,
+    selected: np.ndarray,
+    counts: np.ndarray,
+    scales: np.ndarray,
+) -> np.ndarray:
+    """Attention over each member's selected rows only.
+
+    ``selected [S, k_max]`` holds column indices into the rows behind
+    ``addresses``; member ``s`` attends its first ``counts[s]`` of them
+    (the rest is padding).  ``selected_raw [S, h, k_max]`` are the
+    unscaled dot products of those columns.  V is read for the
+    ``[S, k_max]`` selected rows alone.  Returns ``[S, h, d]``.
+    """
+    values = addresses.take(selected, counts).values()
+    attend = np.arange(selected.shape[1])[None, :] < counts[:, None]
+    outputs, _ = batched_group_attention(
+        queries, None, values, attend, scales=scales, raw_scores=selected_raw
+    )
+    return outputs
+
+
 def batched_group_attention(
     queries: np.ndarray,
-    keys: np.ndarray,
+    keys: Optional[np.ndarray],
     values: np.ndarray,
-    attend: np.ndarray,
+    valid: np.ndarray,
     scales: Optional[np.ndarray] = None,
     raw_scores: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Masked multi-sequence single-query attention.
+    """Multi-sequence single-query attention over padded row sets.
 
     ``queries [S, h, d]``, padded ``keys``/``values [S, T, h, d]`` and a
-    boolean ``attend [S, T]`` mask (padding and, for sparse policies,
-    unselected tokens are False).  Masked entries are scored ``-inf``, so
-    their softmax weight is exactly ``0.0`` and the output equals attention
-    over the attended subset alone.  ``scales`` is the per-member softmax
-    scale; ``raw_scores [S, h, T]`` (the *unscaled* dot products) may be
-    passed in when the caller already computed them for selection.
+    boolean ``valid [S, T]`` padding mask.  Padding entries are scored
+    ``-inf``, so their softmax weight is exactly ``0.0`` and the output
+    equals attention over each member's own rows alone.  ``scales`` is the
+    per-member softmax scale; ``raw_scores [S, h, T]`` (the *unscaled* dot
+    products) may be passed in instead of ``keys`` when the caller already
+    computed them.
 
     Returns ``(outputs [S, h, d], raw_scores [S, h, T])``.
     """
@@ -171,7 +226,7 @@ def batched_group_attention(
         masked = raw_scores * np.asarray(scales, dtype=np.float64)[:, None, None]
     else:
         masked = raw_scores.copy()
-    masked[np.broadcast_to(~attend[:, None, :], masked.shape)] = -np.inf
+    np.copyto(masked, -np.inf, where=~valid[:, None, :])
     probs = softmax(masked, axis=-1)
     if poison_padding_enabled():
         # Poisoned padding rows are NaN and 0.0 * NaN is NaN, so the
@@ -179,7 +234,7 @@ def batched_group_attention(
         # though the masked softmax weight is exactly zero.  Zeroing the
         # masked rows keeps the debug mode transparent: a 0.0 weight times
         # a 0.0 value contributes the same exact 0.0 as in normal mode.
-        v = np.where(attend[:, :, None, None], v, 0.0)
+        v = np.where(valid[:, :, None, None], v, 0.0)
     outputs = np.einsum("sht,sthd->shd", probs, v)
     return outputs, raw_scores
 
@@ -240,10 +295,12 @@ def run_group_decode(
 
 __all__ = [
     "GroupDecodeStats",
+    "attend_selected",
     "batched_group_attention",
     "gather_group_kv",
     "group_spans_for",
     "policy_group_key",
+    "read_group_keys",
     "run_group_decode",
     "supports_group_decode",
 ]

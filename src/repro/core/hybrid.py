@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .attention import head_mean_scores, sparse_attention_output, top_k_indices
+from .attention import sparse_attention_output, top_k_indices, top_k_rows
 from .config import PruningConfig
 from .dynamic_pruning import (
     CAMApproximateSelector,
@@ -36,7 +36,7 @@ from .dynamic_pruning import (
     SelectionResult,
     TopKSelector,
 )
-from .group_decode import batched_group_attention, gather_group_kv
+from .group_decode import attend_selected, read_group_keys
 from .kv_cache import SlotKVCache
 from .policy import KVCachePolicy, StepRecord
 from .static_pruning import (
@@ -271,16 +271,27 @@ class UniCAIMPolicy(KVCachePolicy):
         positions: Sequence[int],
         group: Sequence["KVCachePolicy"],
     ) -> Optional[np.ndarray]:
-        """Vectorized hybrid decode for a whole policy group.
+        """Vectorized hybrid decode for a whole policy group: select, then attend.
 
         Per member only the cheap scalar bookkeeping remains (insert /
         static-evict into the slot cache, already vectorized internally);
-        the heavy math is batched: one padded gather over every member's
-        slot cache, the selector's similarity GEMM computed as one
-        ``[S, h, T]`` tensor (for the CAM selector the quantise-and-match
-        runs across all member score tables, with each member's per-call
-        normalisation and sense-noise draw preserved), and one batched
-        masked attention over the dynamically selected tokens.
+        the heavy math runs once for the group, in the current-domain CIM
+        mode's order — exact attention over the selected rows only:
+
+        1. read K of every member's cached rows (one padded gather);
+        2. score all members at once — the selector's similarity GEMM is
+           one ``[S, h, T]`` tensor (for the CAM selector the quantise-and-
+           match runs across all member score tables, with each member's
+           per-call normalisation and sense-noise draw preserved) — and
+           pick each member's top-k with the tie-exact
+           :func:`~repro.core.attention.top_k_rows`, padded to the group's
+           largest ``k``;
+        3. read V for the ``[S, k_max]`` selected rows only;
+        4. softmax and ``probs @ V`` over the selected columns of the
+           exact scores.
+
+        The charge-accumulation update still uses the exact scores of all
+        ``T`` cached rows.
 
         Returns ``None`` (before touching any state) for selector types the
         batched match does not know — such groups run the per-sequence
@@ -309,9 +320,8 @@ class UniCAIMPolicy(KVCachePolicy):
         tables = [policy.cache.block_table for policy in group]
         slot_lists = [policy.cache.occupied_slots() for policy in group]
         position_arrays = [policy.cache.token_positions() for policy in group]
-        gathered_k, gathered_v, lengths, valid = gather_group_kv(
-            tables, slot_lists
-        )
+        addresses, gathered_k, valid = read_group_keys(tables, slot_lists)
+        lengths = addresses.lengths
         keys64 = np.asarray(gathered_k, dtype=np.float64)
 
         # Exact similarity of every member at once: one [S, h, T] GEMM,
@@ -356,23 +366,27 @@ class UniCAIMPolicy(KVCachePolicy):
             rank_mat = exact_mean
         else:
             rank_mat = None
-        if rank_mat is not None:
-            # One stable argsort over the whole group: descending score
-            # with index tie-break, exactly ``top_k_indices`` per row
-            # (padding ranks last as +inf).
-            order_mat = np.argsort(
-                np.where(valid, -rank_mat, np.inf), axis=1, kind="stable"
-            )
 
-        select = np.zeros_like(valid)
+        top_ks = np.asarray(
+            [
+                policy.config.effective_top_k(int(size))
+                for policy, size in zip(group, lengths)
+            ],
+            dtype=np.int64,
+        )
+        k_max = int(top_ks.max())
+        if rank_mat is not None:
+            selected = top_k_rows(rank_mat, valid, k_max)
+        else:
+            selected = np.zeros((len(group), k_max), dtype=np.int64)
         selections: List[SelectionResult] = []
         for row, policy in enumerate(group):
             size = int(lengths[row])
-            top_k = policy.config.effective_top_k(size)
+            top_k = int(top_ks[row])
             exact_scores = exact_mean[row, :size]
             if rank_mat is not None:
                 selection = SelectionResult(
-                    selected_indices=order_mat[row, :top_k],
+                    selected_indices=selected[row, :top_k],
                     scores=rank_mat[row, :size],
                     exact_scores=exact_scores,
                 )
@@ -393,17 +407,17 @@ class UniCAIMPolicy(KVCachePolicy):
                     scores=scores,
                     exact_scores=scores.copy(),
                 )
+                selected[row, :top_k] = selection.selected_indices
             selections.append(selection)
-            select[row, selection.selected_indices] = True
 
         scales = np.asarray([policy.scale for policy in group], dtype=np.float64)
-        outputs, _ = batched_group_attention(
+        outputs = attend_selected(
             queries,
-            gathered_k,
-            gathered_v,
-            select,
-            scales=scales,
-            raw_scores=exact_raw,
+            np.take_along_axis(exact_raw, selected[:, None, :], axis=2),
+            addresses,
+            selected,
+            top_ks,
+            scales,
         )
 
         # Charge-accumulation update, batched: the softmax-normalised step

@@ -59,18 +59,19 @@ from .kv_codec import CodecSpec, MixedPrecisionConfig, resolve_codec
 #: enough that block tables stay short.
 DEFAULT_PAGE_SIZE = 32
 
-#: Debug mode: when enabled, :func:`gather_padded` overwrites the padding
-#: tail of the returned tensors with NaN instead of leaving whatever rows
-#: the aliased page happens to hold.  Any consumer that forgets to mask
-#: padding then poisons its output loudly (NaN propagates through every
-#: matmul/softmax) instead of silently reading plausible-looking garbage.
+#: Debug mode: when enabled, padded reads (:func:`gather_padded`,
+#: :class:`PaddedAddresses`) overwrite the padding tail of the returned
+#: tensors with NaN instead of leaving whatever rows the aliased page
+#: happens to hold.  Any consumer that forgets to mask padding then
+#: poisons its output loudly (NaN propagates through every matmul/softmax)
+#: instead of silently reading plausible-looking garbage.
 #: Costs one extra write over the padding region per gather — keep it off
 #: outside tests.  Initialised from ``REPRO_POISON_PADDING``.
 _POISON_PADDING = os.environ.get("REPRO_POISON_PADDING", "") not in ("", "0")
 
 
 def set_poison_padding(enabled: bool) -> bool:
-    """Toggle padding poisoning in :func:`gather_padded`; returns the old value."""
+    """Toggle padding poisoning in padded reads; returns the old value."""
     global _POISON_PADDING
     old = _POISON_PADDING
     _POISON_PADDING = bool(enabled)
@@ -941,8 +942,12 @@ class BlockTable:
         return self.pool.is_shared(self._pages[block])
 
     def any_shared(self) -> bool:
+        # Polled for every decoding sequence and layer each engine step
+        # (decode page demand): read the refcounts directly — a held page
+        # is always in range — instead of one checked lookup per page.
+        refcounts = self.pool._refcounts
         return any(
-            p != self._MISSING and self.pool.is_shared(p) for p in self._pages
+            p != self._MISSING and refcounts[p] > 1 for p in self._pages
         )
 
     # ------------------------------------------------------------------
@@ -1121,8 +1126,8 @@ class BlockTable:
 
         The pool-level address form consumed by
         :meth:`PagedKVPool.gather_keys` / :meth:`~PagedKVPool.gather_values`
-        — and by :func:`gather_padded`, which concatenates the addresses of
-        many tables sharing one pool into a single arena gather.
+        — and by :func:`resolve_padded`, which concatenates the addresses
+        of many tables sharing one pool into a single arena gather.
         """
         slots = np.asarray(slots, dtype=np.int64)
         blocks = slots // self.pool.page_size
@@ -1139,39 +1144,88 @@ class BlockTable:
         return pages, offsets
 
 
-def gather_padded(
+@dataclass(frozen=True)
+class PaddedAddresses:
+    """Resolved arena addresses of a padded multi-sequence read.
+
+    Built once per group by :func:`resolve_padded`.  Members are bucketed
+    by backing pool; each bucket holds its member rows and 2-D padded
+    ``(page, offset)`` index arrays ``[m, T]``, whose padding tail aliases
+    the member's own first page (a guaranteed-allocated address whose data
+    consumers mask).  :meth:`keys` / :meth:`values` read a tensor at those
+    addresses — one fancy-indexed arena gather per bucket — and
+    :meth:`take` narrows every row to chosen columns, so a caller can read
+    K over all rows and V over a selected subset without resolving any
+    block table twice.
+    """
+
+    lengths: np.ndarray
+    buckets: Tuple[Tuple[PagedKVPool, List[int], np.ndarray, np.ndarray], ...]
+
+    def keys(self) -> np.ndarray:
+        """Key rows ``[S, T, h, d]`` in the pools' compute dtype."""
+        return self._read("gather_keys")
+
+    def values(self) -> np.ndarray:
+        """Value rows ``[S, T, h, d]`` in the pools' compute dtype."""
+        return self._read("gather_values")
+
+    def take(self, columns: np.ndarray, lengths: np.ndarray) -> "PaddedAddresses":
+        """Addresses of ``columns [S, k]`` of every row, valid up to ``lengths``.
+
+        Column indices must lie below the padded width; entries at or
+        beyond ``lengths[s]`` are padding (they still address an allocated
+        row, which readers poison in debug mode and consumers mask).
+        """
+        columns = np.asarray(columns, dtype=np.int64)
+        return PaddedAddresses(
+            lengths=np.asarray(lengths, dtype=np.int64),
+            buckets=tuple(
+                (
+                    pool,
+                    rows,
+                    np.take_along_axis(pages, columns[rows], axis=1),
+                    np.take_along_axis(offsets, columns[rows], axis=1),
+                )
+                for pool, rows, pages, offsets in self.buckets
+            ),
+        )
+
+    def _read(self, gather: str) -> np.ndarray:
+        out: Optional[np.ndarray] = None
+        for pool, rows, pages, offsets in self.buckets:
+            rows_read = getattr(pool, gather)(pages, offsets)  # [m, T, h, d]
+            if _POISON_PADDING:
+                for i, row in enumerate(rows):
+                    rows_read[i, int(self.lengths[row]) :] = np.nan
+            if len(self.buckets) == 1:
+                # All sequences share one arena (the serving layout): the
+                # gather result *is* the padded tensor — zero extra copies.
+                return rows_read
+            if out is None:
+                out = np.empty(
+                    (self.lengths.size,) + rows_read.shape[1:], dtype=pool.dtype
+                )
+            out[rows] = rows_read
+        return out
+
+
+def resolve_padded(
     tables: Sequence[BlockTable],
     slot_lists: Sequence[Sequence[int]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched multi-sequence gather into padded ``[S, T_max, h, d]`` tensors.
+) -> PaddedAddresses:
+    """Resolve a multi-sequence read into padded per-pool addresses.
 
     ``tables[s]`` is sequence ``s``'s block table and ``slot_lists[s]`` the
-    slots to read, in the order the sequence's policy wants them.  Members
-    are bucketed by backing pool; each pool is read with **one** fancy-
-    indexed arena gather over 2-D padded ``(page, offset)`` index arrays,
-    which lands rows *directly* in the padded layout — no intermediate
-    flat copy, and on the serving engine's shared per-layer arena a whole
-    policy group costs a single gather instead of one per sequence.
-    Standalone policies with private pools degrade gracefully to one
-    gather each.
-
-    Returns ``(keys [S, T, h, d], values [S, T, h, d], lengths [S])`` in
-    the pools' *compute* dtype — quantised arenas dequantise inside the
-    per-pool gather (one vectorised decode over the whole padded block),
-    so group-decode consumers are codec-agnostic.  Rows at or beyond
-    ``lengths[s]`` hold
-    **arbitrary pool data** (the padding indices alias row 0 of an
-    allocated page): consumers must mask the tail — every batched group
-    consumer scores padding ``-inf`` (softmax weight exactly ``0.0``) or
-    slices ``[:lengths[s]]``, so padded garbage can never reach an output.
-    With :func:`set_poison_padding` (or ``REPRO_POISON_PADDING=1``) the
-    padding tail is overwritten with NaN so an unmasked read fails loudly.
+    slots to read, in the order the sequence's policy wants them; row
+    ``s`` of every tensor read through the result holds those slots, padded
+    to the longest member.  On the serving engine's shared per-layer arena
+    the whole group is one bucket, so each read is a single arena gather.
     """
     if len(tables) != len(slot_lists):
         raise ValueError("tables and slot_lists must agree on batch size")
-    count = len(tables)
-    if count == 0:
-        raise ValueError("gather_padded requires at least one sequence")
+    if not tables:
+        raise ValueError("a padded read requires at least one sequence")
     slot_arrays = [np.asarray(s, dtype=np.int64) for s in slot_lists]
     lengths = np.asarray([s.size for s in slot_arrays], dtype=np.int64)
     t_max = int(lengths.max())
@@ -1191,42 +1245,46 @@ def gather_padded(
             (row, table, slots)
         )
 
-    keys: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
+    buckets = []
     for pool, members in by_pool.values():
-        member_count = len(members)
-        pages = np.empty((member_count, t_max), dtype=np.int64)
-        offsets = np.empty((member_count, t_max), dtype=np.int64)
+        pages = np.empty((len(members), t_max), dtype=np.int64)
+        offsets = np.empty((len(members), t_max), dtype=np.int64)
         for i, (_row, table, slots) in enumerate(members):
             size = slots.size
             member_pages, member_offsets = table.locate(slots)
             pages[i, :size] = member_pages
             offsets[i, :size] = member_offsets
             if size < t_max:
-                # Alias the member's own first page for the padding tail:
-                # a guaranteed-allocated address whose (masked) data is
-                # never read.
                 pages[i, size:] = member_pages[0] if size else 0
                 offsets[i, size:] = 0
-        gathered_k = pool.gather_keys(pages, offsets)  # [m, T, h, d]
-        gathered_v = pool.gather_values(pages, offsets)
-        if _POISON_PADDING:
-            for i, (_row, _table, slots) in enumerate(members):
-                if slots.size < t_max:
-                    gathered_k[i, slots.size :] = np.nan
-                    gathered_v[i, slots.size :] = np.nan
-        if len(by_pool) == 1:
-            # All sequences share one arena (the serving layout): the
-            # gather result *is* the padded tensor — zero extra copies.
-            return gathered_k, gathered_v, lengths
-        if keys is None:
-            shape = (count, t_max, pool0.num_heads, pool0.head_dim)
-            keys = np.empty(shape, dtype=pool0.dtype)
-            values = np.empty(shape, dtype=pool0.dtype)
-        rows = [row for row, _table, _slots in members]
-        keys[rows] = gathered_k
-        values[rows] = gathered_v
-    return keys, values, lengths
+        buckets.append((pool, [row for row, _t, _s in members], pages, offsets))
+    return PaddedAddresses(lengths=lengths, buckets=tuple(buckets))
+
+
+def gather_padded(
+    tables: Sequence[BlockTable],
+    slot_lists: Sequence[Sequence[int]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched multi-sequence gather into padded ``[S, T_max, h, d]`` tensors.
+
+    :func:`resolve_padded` followed by a read of both K and V at the full
+    addresses — the form consumers that attend every cached row use.
+    Standalone policies with private pools degrade gracefully to one
+    gather per pool.
+
+    Returns ``(keys [S, T, h, d], values [S, T, h, d], lengths [S])`` in
+    the pools' *compute* dtype — quantised arenas dequantise inside the
+    per-pool gather (one vectorised decode over the whole padded block),
+    so group-decode consumers are codec-agnostic.  Rows at or beyond
+    ``lengths[s]`` hold **arbitrary pool data**: consumers must mask the
+    tail — every batched group consumer scores padding ``-inf`` (softmax
+    weight exactly ``0.0``) or slices ``[:lengths[s]]``, so padded garbage
+    can never reach an output.  With :func:`set_poison_padding` (or
+    ``REPRO_POISON_PADDING=1``) the padding tail is overwritten with NaN so
+    an unmasked read fails loudly.
+    """
+    addresses = resolve_padded(tables, slot_lists)
+    return addresses.keys(), addresses.values(), addresses.lengths
 
 
 class PagedKVStore:
@@ -1626,6 +1684,7 @@ __all__ = [
     "KVPoolGroup",
     "MixedPrecisionConfig",
     "PagedKVPool",
+    "PaddedAddresses",
     "PagedKVStore",
     "PoolExhaustedError",
     "PoolStats",
@@ -1634,5 +1693,6 @@ __all__ = [
     "arena_allocator",
     "current_arena_allocator",
     "gather_padded",
+    "resolve_padded",
     "resolve_codec",
 ]

@@ -723,13 +723,14 @@ class WholePromptStoreMixin:
     def prompt_page_run(self, length: int) -> Optional[SharedKVPages]:
         return self._store.share_prefix(length)
 
-    def _group_insert_and_gather(self, keys, values, positions, group):
-        """Commit each member's new K/V row, then gather the whole group.
+    def _group_insert(self, keys, values, positions, group):
+        """Commit each member's new K/V row; return the group's read plan.
 
         The writes stay per-member (each sequence's block table allocates /
-        copy-on-write splits independently); the reads collapse into one
-        padded :func:`~repro.core.group_decode.gather_group_kv` — a single
-        arena gather when the group shares the engine's per-layer pool.
+        copy-on-write splits independently).  Returns ``(tables,
+        slot_lists)`` naming every member's stored rows in insertion order,
+        for one padded group read — a single arena gather when the group
+        shares the engine's per-layer pool.
         """
         for policy, key, value, position in zip(group, keys, values, positions):
             policy._store.put(
@@ -750,7 +751,7 @@ class WholePromptStoreMixin:
                 )
             else:
                 slot_lists.append(store.slots_of(policy._positions))
-        return gather_group_kv(tables, slot_lists)
+        return tables, slot_lists
 
     def reset(self) -> None:
         super().reset()
@@ -818,8 +819,8 @@ class FullCachePolicy(WholePromptStoreMixin, KVCachePolicy):
         """Vectorized full-cache decode: every member attends to all of its
         cached tokens, so the span is one padded gather plus one batched
         masked attention call."""
-        gathered_k, gathered_v, lengths, valid = self._group_insert_and_gather(
-            keys, values, positions, group
+        gathered_k, gathered_v, lengths, valid = gather_group_kv(
+            *self._group_insert(keys, values, positions, group)
         )
         scales = np.asarray([policy.scale for policy in group], dtype=np.float64)
         outputs, _ = batched_group_attention(

@@ -11,6 +11,11 @@ Acceptance properties of the group-decode refactor:
 * **Safe fallback** — a policy subclass without a vectorized override (or
   one that re-overrides ``decode_step`` below the override) is routed
   through the per-sequence loop, so external subclasses keep working.
+* **Select, then attend** — the selection policies (UniCAIM exact and
+  CAM, Quest) read V only for the rows they select; with ragged
+  per-member picks (caches straddling ``top_k``, quantised-score ties,
+  per-member Quest pages) on dense storage and on an int8 arena they stay
+  token- and ``PolicyStats``-identical to the per-sequence loop.
 * **Durable telemetry** — ``stats()["scheduler"]`` reports *cumulative*
   ``group_calls`` / ``fallback_calls`` / ``vectorized_sequences`` counters
   that survive across steps (unlike ``decode_groups``, which only shows
@@ -25,8 +30,13 @@ from repro.core.group_decode import (
     policy_group_key,
     supports_group_decode,
 )
+from repro.core.baselines import QuestPolicy
+from repro.core.config import PruningConfig
+from repro.core.dynamic_pruning import CAMApproximateSelector, CAMSelectorConfig
+from repro.core.hybrid import UniCAIMPolicy
 from repro.core.kv_pool import (
     KVPoolGroup,
+    PagedKVPool,
     PagedKVStore,
     gather_padded,
     set_poison_padding,
@@ -67,20 +77,20 @@ def prompts():
     ]
 
 
-def make_pools(num_pages=600, page_size=8):
+def make_pools(num_pages=600, page_size=8, codec=None):
     return KVPoolGroup(
         LAYERS, page_size=page_size, num_heads=HEADS, head_dim=HEAD_DIM,
-        num_pages=num_pages,
+        num_pages=num_pages, codec=codec,
     )
 
 
 def run_engine(model, prompts, *, vectorized, batch_size=4, paged=False,
-               policy_factory=None, per_request_factories=None):
+               policy_factory=None, per_request_factories=None, codec=None):
     engine = BatchedEngine(
         model,
         policy_factory=policy_factory,
         max_batch_size=batch_size,
-        kv_pools=make_pools() if paged else None,
+        kv_pools=make_pools(codec=codec) if paged else None,
         scheduler_policy=SchedulerPolicy(vectorized_decode=vectorized),
     )
     for i, prompt in enumerate(prompts):
@@ -167,6 +177,102 @@ class TestGroupedDecodeEquivalence:
         scheduler = engine.stats()["scheduler"]
         assert scheduler["group_calls"] == 0
         assert scheduler["vectorized_sequences"] == 0
+
+
+#: Selection-policy flavours whose members pick ragged row sets: prompts
+#: of 16-22 tokens plus 7 generated ones put UniCAIM caches on both sides
+#: of ``top_k=20``, the noiseless CAM selector ranks quantised scores that
+#: tie, and Quest members hold between 4 and 8 pages against a 5-page
+#: budget (the shorter ones attend densely).
+SELECTION_CONFIG = PruningConfig(
+    heavy_budget=26, reserved_budget=4, top_k=20, sink_tokens=2,
+    recent_protect=2,
+)
+SELECTION_FACTORIES = {
+    "unicaim_exact": lambda heads, dim: UniCAIMPolicy(
+        heads, dim, config=SELECTION_CONFIG
+    ),
+    "unicaim_cam_noiseless": lambda heads, dim: UniCAIMPolicy(
+        heads, dim, config=SELECTION_CONFIG,
+        selector=CAMApproximateSelector(
+            CAMSelectorConfig(sense_noise_sigma=0.0, seed=0)
+        ),
+    ),
+    "quest": lambda heads, dim: QuestPolicy(
+        heads, dim, page_size=4, num_pages=5
+    ),
+}
+
+
+class TestSelectThenAttend:
+    """Selection policies attend only the rows they select."""
+
+    @pytest.mark.parametrize("flavour", sorted(SELECTION_FACTORIES))
+    @pytest.mark.parametrize(
+        "storage", ["dense", "int8"], ids=["dense", "int8-arena"]
+    )
+    def test_ragged_selection_identical_to_per_sequence(
+        self, model, prompts, flavour, storage
+    ):
+        kwargs = dict(
+            batch_size=8,
+            paged=storage == "int8",
+            codec="int8" if storage == "int8" else None,
+            policy_factory=SELECTION_FACTORIES[flavour],
+        )
+        _, reference = run_engine(model, prompts, vectorized=False, **kwargs)
+        engine, grouped = run_engine(model, prompts, vectorized=True, **kwargs)
+        assert_responses_identical(reference, grouped)
+        assert engine.stats()["scheduler"]["group_calls"] > 0
+        # K padding is still read (ragged cache sizes): poisoned, it must
+        # not leak into a selection or an output.
+        old = set_poison_padding(True)
+        try:
+            _, poisoned = run_engine(
+                model, prompts, vectorized=True, **kwargs
+            )
+        finally:
+            set_poison_padding(old)
+        assert_responses_identical(reference, poisoned)
+        attended = {
+            record.num_attended
+            for response in grouped
+            for stats in response.policy_stats
+            for record in stats.records
+        }
+        # The picks really are ragged within the run.
+        assert len(attended) > 1
+
+    def test_unicaim_reads_values_of_selected_rows_only(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pool = PagedKVPool(8, HEADS, HEAD_DIM, num_pages=64)
+        group = []
+        for n in (6, 15, 30):  # cache sizes below and above top_k
+            policy = UniCAIMPolicy(HEADS, HEAD_DIM, config=SELECTION_CONFIG)
+            policy.attach_pool(pool)
+            policy.prefill(
+                rng.normal(size=(n, HEADS, HEAD_DIM)),
+                rng.normal(size=(n, HEADS, HEAD_DIM)),
+            )
+            group.append(policy)
+        reads = {"gather_keys": [], "gather_values": []}
+        for name, seen in reads.items():
+            original = getattr(pool, name)
+
+            def spy(pages, offsets, original=original, seen=seen):
+                seen.append(np.shape(pages))
+                return original(pages, offsets)
+
+            monkeypatch.setattr(pool, name, spy)
+        queries, keys, values = rng.normal(size=(3, 3, HEADS, HEAD_DIM))
+        sizes = [len(policy.cache) + 1 for policy in group]
+        group[0].decode_step_group(
+            queries, keys, values, [40, 41, 42], group
+        )
+        k_max = max(SELECTION_CONFIG.effective_top_k(n) for n in sizes)
+        assert reads["gather_keys"] == [(3, max(sizes))]
+        assert reads["gather_values"] == [(3, k_max)]
+        assert k_max < max(sizes)
 
 
 class TestMixedPolicyBatches:
@@ -367,7 +473,9 @@ class TestPoisonedPaddingGroupDecode:
     failure instead of a silent wrong-but-plausible read."""
 
     @pytest.mark.parametrize(
-        "policy_name", ["full", "snapkv", "streaming_llm", "h2o", "quest"]
+        "policy_name",
+        ["full", "snapkv", "streaming_llm", "h2o", "quest", "unicaim",
+         "unicaim_cam"],
     )
     def test_vectorized_decode_identical_under_poison(
         self, model, prompts, policy_name

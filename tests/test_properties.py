@@ -13,7 +13,12 @@ from repro.circuits.encoding import (
     quantize_to_levels,
     signed_levels,
 )
-from repro.core.attention import attention_output, softmax, top_k_indices
+from repro.core.attention import (
+    attention_output,
+    softmax,
+    top_k_indices,
+    top_k_rows,
+)
 from repro.core.dynamic_pruning import quantize_signed
 from repro.core.kv_cache import SlotKVCache
 from repro.core.static_pruning import select_heavy_tokens
@@ -56,6 +61,43 @@ class TestAttentionProperties:
         out = attention_output(query, keys, values)
         assert np.all(out <= values.max(axis=0) + 1e-9)
         assert np.all(out >= values.min(axis=0) - 1e-9)
+
+
+@st.composite
+def padded_score_tables(draw):
+    """A ragged ``[S, T]`` table: few distinct integer scores (many ties),
+    a per-row valid length (NaN beyond it — a padding tail the helper must
+    rank as ``+inf`` without reading) and a per-row ``k`` from 1 to past
+    the row length."""
+    rows = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 40))
+    scores = draw(
+        arrays(np.float64, (rows, width), elements=st.integers(-3, 3).map(float))
+    )
+    lengths = np.asarray(
+        draw(st.lists(st.integers(0, width), min_size=rows, max_size=rows))
+    )
+    ks = draw(st.lists(st.integers(1, width + 2), min_size=rows, max_size=rows))
+    valid = np.arange(width)[None, :] < lengths[:, None]
+    return np.where(valid, scores, np.nan), valid, lengths, ks
+
+
+class TestTopKRowsProperties:
+    @given(padded_score_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_stable_argsort_and_per_row_top_k(self, table):
+        scores, valid, lengths, ks = table
+        k_max = max(ks)
+        got = top_k_rows(scores, valid, k_max)
+        want = np.argsort(
+            np.where(valid, -scores, np.inf), axis=1, kind="stable"
+        )[:, :k_max]
+        np.testing.assert_array_equal(got, want)
+        for row, (n, k) in enumerate(zip(lengths, ks)):
+            if n:
+                np.testing.assert_array_equal(
+                    got[row, : min(k, n)], top_k_indices(scores[row, :n], k)
+                )
 
 
 class TestHeavySelectionProperties:
