@@ -24,8 +24,9 @@ roadmap:
   its owner and adopters.
 * **Copy-on-write** — writing through a block table to a page whose
   refcount is above one first splits the page (allocates a private copy),
-  so sharers never observe each other's evictions/overwrites and the paged
-  engine stays token-identical to the dense path.
+  so sharers never observe each other's evictions/overwrites and the
+  serving engine stays token-identical to the serial reference
+  (:func:`~repro.llm.generation.greedy_generate_serial`).
 
 Since the quantised-storage refactor the pool also owns a **storage
 codec** (:mod:`repro.core.kv_codec`): arenas can hold int8 or packed int4
@@ -44,6 +45,7 @@ the behavioural model.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -53,6 +55,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kv_codec import CodecSpec, MixedPrecisionConfig, resolve_codec
+
+try:  # CPython's POSIX shm_open/shm_unlink binding
+    import _posixshmem
+except ImportError:  # pragma: no cover - non-POSIX hosts
+    _posixshmem = None
 
 #: Page size (tokens per page) used when a store creates its own private
 #: pool.  Small enough that short sequences do not over-allocate, large
@@ -103,10 +110,10 @@ class ArenaAllocator:
     :class:`PagedKVPool` obtains its backing arrays (K/V pages and, for
     quantised codecs, the per-page scale arrays) through an allocator
     instead of calling ``np.zeros`` directly.  The default allocator *is*
-    ``np.zeros`` — the dense in-process path is bit-identical by
-    construction — while :class:`SharedArenaAllocator` backs the same
-    arrays with ``multiprocessing.shared_memory`` segments so another
-    process (the cluster parent) can map them without pickling.
+    ``np.zeros`` — pages nobody writes are never committed — while
+    :class:`SharedArenaAllocator` backs the same arrays with named POSIX
+    shared-memory segments so another process (the cluster parent) can
+    map them without pickling.
     """
 
     def zeros(self, shape: Sequence[int], dtype: np.dtype) -> np.ndarray:
@@ -152,37 +159,55 @@ def arena_allocator(allocator: ArenaAllocator) -> Iterator[ArenaAllocator]:
         _ARENA_ALLOCATOR = previous
 
 
-def _untrack_shared_memory(shm: object) -> None:
-    # CPython 3.11 registers segments with the resource tracker on both
-    # create *and* attach (bpo-39959; ``track=`` only exists from 3.13).
-    # We manage the lifecycle manually — creator unlinks in a ``finally``,
-    # the cluster parent sweeps by name prefix as a crash fallback — so
-    # tracker entries would only produce spurious double-unlink warnings
-    # at interpreter exit.
+def _map_segment(name: str, size: Optional[int] = None) -> mmap.mmap:
+    """Map the POSIX shared-memory segment ``name`` read/write.
+
+    ``size`` creates the segment (exclusively; ``ftruncate`` leaves it
+    zero-filled, and untouched pages commit no memory); ``None`` attaches
+    to an existing one.  This is what ``multiprocessing``'s
+    ``SharedMemory`` does, minus its resource-tracker registration: on
+    CPython < 3.13 every create *and* attach registers the segment with a
+    tracker process, started on first use in each process.  Segment
+    lifetime is managed explicitly here — the creator unlinks, the
+    cluster parent sweeps by name prefix — so that process would have
+    nothing to do but outlive its parent.  Registration also takes a
+    process-wide lock, and a worker forked while a cluster pump thread
+    holds it (attaching the previous worker's arena) inherits it held
+    and blocks forever on its first segment.
+    """
+    if _posixshmem is None:
+        raise RuntimeError("shared-memory arenas need a POSIX host")
+    create = size is not None
+    flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+    fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
     try:
-        from multiprocessing import resource_tracker
+        if create:
+            os.ftruncate(fd, size)
+        return mmap.mmap(fd, os.fstat(fd).st_size)
+    except BaseException:
+        if create:
+            _posixshmem.shm_unlink("/" + name)
+        raise
+    finally:
+        os.close(fd)
 
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
+
+def _unlink_segment(name: str) -> None:
+    """Remove a segment name; existing mappings stay valid (POSIX)."""
+    _posixshmem.shm_unlink("/" + name)
 
 
-def _unlink_shared_memory(shm: object) -> None:
-    # ``SharedMemory.unlink`` unregisters from the resource tracker as a
-    # side effect; since creation untracked the segment, re-register
-    # first so that internal unregister finds a matching entry (a bare
-    # unlink makes the tracker process log a KeyError traceback).
+def _close_mapping(mapping: mmap.mmap) -> None:
+    """Drop one mapping (best effort: a numpy view still exporting the
+    buffer keeps it alive until process exit)."""
     try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.register(shm._name, "shared_memory")
-    except Exception:
+        mapping.close()
+    except BufferError:
         pass
-    shm.unlink()
 
 
 class SharedArenaAllocator(ArenaAllocator):
-    """Arena allocator backed by ``multiprocessing.shared_memory``.
+    """Arena allocator backed by named POSIX shared-memory segments.
 
     Each :meth:`zeros` call creates one named segment (zero-filled) and
     returns a numpy view over it.  :meth:`manifest` lists
@@ -198,32 +223,26 @@ class SharedArenaAllocator(ArenaAllocator):
     """
 
     def __init__(self, prefix: Optional[str] = None) -> None:
-        from multiprocessing import shared_memory  # noqa: F401 — probe
-
         if prefix is None:
             prefix = f"repro-arena-{os.getpid()}-{next(_ARENA_SEQ)}"
         if "/" in prefix:
             raise ValueError("shared-memory prefix must not contain '/'")
         self.prefix = prefix
-        self._segments: Dict[str, object] = {}
+        self._segments: Dict[str, mmap.mmap] = {}
         self._shapes: Dict[str, Tuple[Tuple[int, ...], str]] = {}
         self._by_addr: Dict[int, str] = {}
-        self._zombies: List[object] = []
+        self._zombies: List[mmap.mmap] = []
         self._count = 0
 
     def zeros(self, shape: Sequence[int], dtype: np.dtype) -> np.ndarray:
-        from multiprocessing import shared_memory
-
         dtype = np.dtype(dtype)
         shape = tuple(int(s) for s in shape)
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         name = f"{self.prefix}-{self._count}"
         self._count += 1
-        shm = shared_memory.SharedMemory(name=name, create=True, size=max(1, nbytes))
-        _untrack_shared_memory(shm)
-        array: np.ndarray = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        array.fill(0)
-        self._segments[name] = shm
+        mapping = _map_segment(name, size=max(1, nbytes))
+        array: np.ndarray = np.ndarray(shape, dtype=dtype, buffer=mapping)
+        self._segments[name] = mapping
         self._shapes[name] = (shape, dtype.str)
         self._by_addr[array.__array_interface__["data"][0]] = name
         return array
@@ -232,19 +251,19 @@ class SharedArenaAllocator(ArenaAllocator):
         """Unlink the segment backing ``array`` (growable-pool realloc).
 
         The name disappears immediately; the mapping itself is released
-        when the last view dies (we keep the segment object as a zombie
-        until :meth:`close`, since numpy still exports its buffer here).
+        when the last view dies (we keep it as a zombie until
+        :meth:`close`, since numpy still exports its buffer here).
         """
         name = self._by_addr.pop(array.__array_interface__["data"][0], None)
         if name is None:
             return
-        shm = self._segments.pop(name)
+        mapping = self._segments.pop(name)
         self._shapes.pop(name, None)
         try:
-            _unlink_shared_memory(shm)
+            _unlink_segment(name)
         except FileNotFoundError:
             pass
-        self._zombies.append(shm)
+        self._zombies.append(mapping)
 
     def manifest(self) -> List[Tuple[str, Tuple[int, ...], str]]:
         """Picklable ``(name, shape, dtype_str)`` list of live segments."""
@@ -259,20 +278,17 @@ class SharedArenaAllocator(ArenaAllocator):
 
     def unlink(self) -> None:
         """Remove every live segment name (idempotent)."""
-        for shm in self._segments.values():
+        for name in self._segments:
             try:
-                _unlink_shared_memory(shm)
+                _unlink_segment(name)
             except FileNotFoundError:
                 pass
 
     def close(self) -> None:
         """Drop this process's mappings (best effort: numpy views may
         still export the buffer; those segments close at process exit)."""
-        for shm in list(self._segments.values()) + self._zombies:
-            try:
-                shm.close()
-            except BufferError:
-                pass
+        for mapping in list(self._segments.values()) + self._zombies:
+            _close_mapping(mapping)
 
     @staticmethod
     def unlink_by_prefix(prefix: str) -> List[str]:
@@ -302,27 +318,21 @@ class AttachedArena:
     """
 
     def __init__(self, manifest: Sequence[Tuple[str, Sequence[int], str]]) -> None:
-        from multiprocessing import shared_memory
-
         self.arrays: Dict[str, np.ndarray] = {}
-        self._segments: List[object] = []
+        self._segments: List[mmap.mmap] = []
         for name, shape, dtype_str in manifest:
-            shm = shared_memory.SharedMemory(name=name, create=False)
-            _untrack_shared_memory(shm)
-            self._segments.append(shm)
+            mapping = _map_segment(name)
+            self._segments.append(mapping)
             self.arrays[name] = np.ndarray(
                 tuple(int(s) for s in shape),
                 dtype=np.dtype(dtype_str),
-                buffer=shm.buf,
+                buffer=mapping,
             )
 
     def close(self) -> None:
         self.arrays.clear()
-        for shm in self._segments:
-            try:
-                shm.close()
-            except BufferError:
-                pass
+        for mapping in self._segments:
+            _close_mapping(mapping)
         self._segments.clear()
 
 

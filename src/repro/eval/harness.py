@@ -26,7 +26,7 @@ from ..llm.generation import greedy_generate
 from ..llm.induction import build_induction_model
 from ..llm.model import PolicyFactory, TransformerLM
 from ..llm.tokenizer import WordTokenizer
-from ..serving import BatchedEngine, PrefixCache, ServingRequest, ServingResponse
+from ..serving import BatchedEngine, ServingRequest, ServingResponse
 from .datasets import QADataset, QAExample
 from .metrics import mean_metric, token_f1
 
@@ -192,17 +192,15 @@ def _eval_kv_pools(
     model: TransformerLM,
     examples: Sequence[QAExample],
     kv_dtype: Optional[str],
-) -> Optional[KVPoolGroup]:
+) -> KVPoolGroup:
     """Paged arenas for an accuracy run at a given storage precision.
 
-    ``None``/``"fp64"`` keeps the engine's dense per-policy storage (the
-    historical evaluation path, bit-identical).  A quantised name builds
-    fixed per-layer pools with enough pages for every example's worst case
-    at once, so admission never interferes with the accuracy measurement —
-    the knob isolates *storage precision* as the only variable.
+    Fixed per-layer pools with enough pages for every example's worst case
+    at once, so admission never interferes with the accuracy measurement
+    and ``kv_dtype`` isolates *storage precision* as the only variable:
+    ``None``/``"fp64"`` stores full-precision float64 rows,
+    ``"int8"``/``"int4"`` quantised ones.
     """
-    if kv_dtype in (None, "fp", "fp64", "float64"):
-        return None
     page_size = 32
     pages = sum(
         math.ceil((ex.prompt_length + ex.answer_length + 2) / page_size) + 1
@@ -227,7 +225,6 @@ def evaluate_policy(
     seed: int = 0,
     batch_size: int = DEFAULT_EVAL_BATCH_SIZE,
     prefix_caching: bool = True,
-    prefix_cache: Optional[PrefixCache] = None,
     kv_dtype: Optional[str] = None,
 ) -> PolicyEvaluation:
     """Mean F1 of ``policy_name`` at ``cache_ratio`` over a dataset.
@@ -238,39 +235,24 @@ def evaluate_policy(
     sized for its prompt length.  ``batch_size=1`` reproduces the strictly
     serial evaluation order.
 
-    ``kv_dtype`` selects the KV *storage* precision: ``None``/``"fp64"``
-    is the dense full-precision path; ``"int8"``/``"int4"`` runs the same
-    evaluation over quantised paged arenas (pages sized so admission never
-    limits the run), measuring the accuracy cost of storage quantisation
-    alone.
+    ``kv_dtype`` selects the KV *storage* precision of the run's paged
+    arenas (:func:`_eval_kv_pools`, sized so admission never limits the
+    run): ``None``/``"fp64"`` stores full-precision rows,
+    ``"int8"``/``"int4"`` quantised ones, measuring the accuracy cost of
+    storage quantisation alone.
 
-    Prefix-cache knobs
-    ------------------
     ``prefix_caching`` (default on) lets examples that share a prompt prefix
     reuse each other's prefill K/V and attention-score blocks — generated
-    tokens are unchanged, only redundant prefill work is skipped.  Pass an
-    explicit ``prefix_cache`` (a :class:`repro.serving.PrefixCache`, whose
-    ``max_entries`` / ``min_prefix_tokens`` knobs bound memory and the
-    smallest reusable prefix) to share one cache across several
-    ``evaluate_policy`` calls of a sweep; its ``stats`` then report hit
-    rates and tokens reused across the whole sweep (fp64 runs only — a
-    quantised run builds its own pool-backed cache).
+    tokens are unchanged, only redundant prefill work is skipped.
     """
     examples = dataset.examples
     if max_examples is not None:
         examples = examples[:max_examples]
-    kv_pools = _eval_kv_pools(model, examples, kv_dtype)
-    if kv_pools is not None and prefix_cache is not None:
-        raise ValueError(
-            "an external prefix_cache cannot be combined with a quantised "
-            "kv_dtype (the cache must share the run's own pools)"
-        )
     engine = BatchedEngine(
         model,
         max_batch_size=batch_size,
         prefix_caching=prefix_caching,
-        prefix_cache=prefix_cache,
-        kv_pools=kv_pools,
+        kv_pools=_eval_kv_pools(model, examples, kv_dtype),
     )
     submitted = []
     for example in examples:

@@ -2,8 +2,8 @@
 
 :func:`greedy_generate` routes through the batched serving engine
 (:mod:`repro.serving`) as a batch of one; :func:`greedy_generate_serial`
-keeps the original single-sequence loop as the bitwise reference the
-engine is tested against.
+keeps the original single-sequence loop over standalone policies as the
+reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -71,15 +71,9 @@ def greedy_generate(
     keep_logits:
         Keep the per-step logits for analysis.
     """
-    # Single-sequence generation wants the bitwise-serial code path: no
-    # packed prefill, no prefix cache (a fresh engine's cache could never
-    # hit anyway).
+    # A fresh engine's prefix cache could never hit; skip building it.
     engine = BatchedEngine(
-        model,
-        policy_factory=policy_factory,
-        max_batch_size=1,
-        prefix_caching=False,
-        batched_prefill=False,
+        model, policy_factory, max_batch_size=1, prefix_caching=False
     )
     engine.submit(
         ServingRequest(

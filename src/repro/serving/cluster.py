@@ -59,8 +59,8 @@ on N cores — no GIL serialization.  Requests travel to workers over a
 queue drained by a parent-side pump thread (per-request token order is
 preserved because a request lives on exactly one worker and its events
 share one FIFO queue).  Each child allocates its ``PagedKVPool`` arenas
-— and the per-page scale arrays of quantised codecs — in
-``multiprocessing.shared_memory`` segments via the
+— and the per-page scale arrays of quantised codecs — in named POSIX
+shared-memory segments via the
 :class:`~repro.core.kv_pool.SharedArenaAllocator` seam, plus one small
 telemetry block the child refreshes every step; the parent maps those
 segments (:class:`~repro.core.kv_pool.AttachedArena`) and serves

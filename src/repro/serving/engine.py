@@ -64,9 +64,14 @@ admits the new work at its next iteration boundary.
 
 Paged KV storage
 ----------------
-With ``kv_pools`` (a :class:`~repro.core.kv_pool.KVPoolGroup` of fixed
-per-layer page arenas) every admitted sequence's policies store their K/V
-rows in the *shared* arena through per-sequence block tables.  Admission is
+The engine always serves from a :class:`~repro.core.kv_pool.KVPoolGroup`
+of fixed per-layer page arenas: every admitted sequence's policies store
+their K/V rows in the *shared* arena through per-sequence block tables.
+Without an explicit ``kv_pools`` the engine builds a float64 group with
+16-token pages and ``max_batch_size * ceil(max_position / 16)`` pages per
+layer, so ``max_batch_size`` sequences of up to the model's
+``max_position`` tokens fit at once; the arenas are ``np.zeros`` memory,
+committed lazily, so pages nobody writes cost nothing.  Admission is
 gated on page availability with allocated-so-far accounting: per layer the
 scheduler keeps ``sum(remaining demand) <= free pages``, where a sequence's
 remaining demand starts at its (prefix-credited) worst case and shrinks to
@@ -114,15 +119,13 @@ agnostic, and chunked prefill is chunk-size invariant: generated tokens and
 chunk boundary only changes *when* compute happens, never what any policy
 stores or selects — asserted across all seven policies in the test suite).
 
-With ``batched_prefill=False`` and ``prefix_caching=False`` the engine
-reproduces :func:`repro.llm.generation.greedy_generate_serial` exactly for a
-batch of one (identical serial code path).  Larger batches, the packed
-prefill and chunked prefill compute logits that can differ from the serial
-path in the last float ulp (batched BLAS GEMMs round differently from
-per-sequence einsums); greedy token ids are identical in practice and
-asserted so in the test suite, but evaluations that must be strictly
-independent of batch composition should use ``max_batch_size=1`` with both
-knobs off.
+The packed prefill, larger batches and chunked prefill compute logits
+that can differ from :func:`repro.llm.generation.greedy_generate_serial`
+in the last float ulp (batched BLAS GEMMs round differently from
+per-sequence einsums); greedy token ids and ``PolicyStats`` are identical
+in practice and asserted so in the test suite.  Evaluations that must be
+strictly independent of batch composition should use ``max_batch_size=1``
+with ``prefix_caching=False``.
 """
 
 from __future__ import annotations
@@ -192,6 +195,22 @@ STATS_CONFIG_KEYS = frozenset({"max_tokens_per_step", "codec", "k", "enabled"})
 STATS_RATIO_KEYS = frozenset(
     {"hit_rate", "acceptance_rate", "fp_page_fraction", "bytes_per_token"}
 )
+
+#: Page size of the KV arenas an engine builds when given no ``kv_pools``.
+_DEFAULT_PAGE_SIZE = 16
+
+
+def _default_kv_pools(model: "TransformerLM", max_batch_size: int) -> KVPoolGroup:
+    """Arenas for ``max_batch_size`` sequences of ``max_position`` tokens."""
+    config = model.config
+    pages_per_sequence = math.ceil(config.max_position / _DEFAULT_PAGE_SIZE)
+    return KVPoolGroup(
+        config.num_layers,
+        _DEFAULT_PAGE_SIZE,
+        config.num_heads,
+        config.head_dim,
+        num_pages=max_batch_size * pages_per_sequence,
+    )
 
 
 @dataclass
@@ -275,8 +294,8 @@ class SequenceSlot:
 
     ``logits`` always holds the next-token distribution produced by the most
     recent prefill/decode step; ``position`` is the logical position the next
-    generated token will occupy.  ``worst_case_pages`` (paged engines only)
-    is the per-layer admission-time worst-case page demand, kept for the
+    generated token will occupy.  ``worst_case_pages`` is the per-layer
+    admission-time worst-case page demand, kept for the
     ``reservation_delta`` telemetry — actual page accounting follows the
     policies' allocated-so-far state.
 
@@ -323,32 +342,24 @@ class BatchedEngine:
     max_batch_size:
         Maximum number of sequences admitted concurrently (prefilling +
         decoding).  Further submissions queue and are admitted as active
-        sequences complete.  ``None`` (allowed only with ``kv_pools``)
-        removes the fixed slot grid: concurrency is then bounded by page
-        availability alone.
+        sequences complete.  ``None`` (allowed only with explicit
+        ``kv_pools``) removes the fixed slot grid: concurrency is then
+        bounded by page availability alone.
     prefix_cache:
         Optional externally owned :class:`PrefixCache`, e.g. shared across
-        several engines of an evaluation sweep.  When ``None`` (and prefix
-        caching is enabled) the engine creates a private one — paged over
-        ``kv_pools`` when those are given.  An explicit cache must be built
-        over the same ``kv_pools`` as the engine (or neither).
+        several engines of an evaluation sweep.  It must be built over the
+        same ``kv_pools`` the engine is given.  When ``None`` (and prefix
+        caching is enabled) the engine creates a private one over its
+        arenas.
     prefix_caching:
-        Reuse shared prompt prefixes across requests at admission.  Requires
-        the batched prefill path; forced off when ``batched_prefill`` is
-        ``False``.
-    batched_prefill:
-        Prefill through the packed padding-free
-        :meth:`TransformerLM.prefill_chunk_batched`.  ``False`` restores the
-        per-request serial :meth:`TransformerLM.prefill` (bitwise identical
-        to :func:`greedy_generate_serial`; used as the reference baseline by
-        the TTFT benchmark).  Chunked prefill rides on the packed path, so
-        a token budget requires ``batched_prefill=True``.
+        Reuse shared prompt prefixes across requests at admission.
     kv_pools:
-        Optional :class:`~repro.core.kv_pool.KVPoolGroup` of *fixed*
-        per-layer page arenas shared by every sequence (and the prefix
-        cache).  See the module docstring for the admission and
-        copy-on-write semantics.  ``None`` keeps the dense per-sequence
-        layout.
+        :class:`~repro.core.kv_pool.KVPoolGroup` of *fixed* per-layer page
+        arenas shared by every sequence (and the prefix cache).  See the
+        module docstring for the admission and copy-on-write semantics.
+        ``None`` builds a default group: float64, 16-token pages,
+        ``max_batch_size * ceil(max_position / 16)`` pages per layer, so
+        ``max_batch_size`` full-length sequences fit at once.
     scheduler_policy:
         :class:`~repro.serving.scheduler.SchedulerPolicy` knobs (token
         budget, prefill floor, decode grouping).
@@ -388,42 +399,38 @@ class BatchedEngine:
         max_batch_size: Optional[int] = 16,
         prefix_cache: Optional[PrefixCache] = None,
         prefix_caching: bool = True,
-        batched_prefill: bool = True,
         kv_pools: Optional[KVPoolGroup] = None,
         scheduler_policy: Optional[SchedulerPolicy] = None,
         max_tokens_per_step: Optional[int] = None,
         on_token: Optional[Callable[[str, int, int], None]] = None,
         speculation: Optional[SpeculationConfig] = None,
     ) -> None:
-        if kv_pools is not None:
-            if kv_pools.num_layers != model.config.num_layers:
-                raise ValueError(
-                    "kv_pools must have one pool per transformer layer"
-                )
-            if any(not pool.fixed for pool in kv_pools.pools):
-                raise ValueError(
-                    "engine kv_pools must be fixed-size (page-gated "
-                    "admission needs a hard arena bound)"
-                )
-            if any(
-                pool.codec.name != kv_pools.pools[0].codec.name
-                for pool in kv_pools.pools
-            ):
-                # Admission math counts pages, which are codec-independent,
-                # but telemetry and byte accounting assume one codec per
-                # group; mixed per-layer codecs have no use case here.
-                raise ValueError(
-                    "engine kv_pools must share one storage codec across "
-                    "layers"
-                )
-        if max_batch_size is None:
-            if kv_pools is None:
-                raise ValueError(
-                    "max_batch_size=None requires kv_pools (page-gated "
-                    "admission)"
-                )
-        elif max_batch_size < 1:
+        if max_batch_size is not None and max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
+        if kv_pools is None:
+            if max_batch_size is None:
+                raise ValueError(
+                    "max_batch_size=None requires kv_pools (nothing else "
+                    "bounds the arena size)"
+                )
+            kv_pools = _default_kv_pools(model, max_batch_size)
+        if kv_pools.num_layers != model.config.num_layers:
+            raise ValueError("kv_pools must have one pool per transformer layer")
+        if any(not pool.fixed for pool in kv_pools.pools):
+            raise ValueError(
+                "engine kv_pools must be fixed-size (page-gated "
+                "admission needs a hard arena bound)"
+            )
+        if any(
+            pool.codec.name != kv_pools.pools[0].codec.name
+            for pool in kv_pools.pools
+        ):
+            # Admission math counts pages, which are codec-independent,
+            # but telemetry and byte accounting assume one codec per
+            # group; mixed per-layer codecs have no use case here.
+            raise ValueError(
+                "engine kv_pools must share one storage codec across layers"
+            )
         if scheduler_policy is not None and max_tokens_per_step is not None:
             raise ValueError(
                 "pass either scheduler_policy or max_tokens_per_step, not both"
@@ -438,35 +445,17 @@ class BatchedEngine:
             None if max_batch_size is None else int(max_batch_size)
         )
         self.kv_pools = kv_pools
-        self.batched_prefill = bool(batched_prefill)
-        if not self.batched_prefill:
-            if scheduler_policy.max_tokens_per_step is not None:
-                raise ValueError(
-                    "chunked prefill (max_tokens_per_step) requires "
-                    "batched_prefill=True (chunks ride on the packed path)"
-                )
-            # Prefix reuse rides on the packed prefill path.
-            if prefix_cache is not None:
-                raise ValueError(
-                    "an explicit prefix_cache requires batched_prefill=True "
-                    "(prefix reuse rides on the packed prefill path)"
-                )
-            prefix_caching = False
         if prefix_cache is not None and not prefix_caching:
             raise ValueError(
                 "an explicit prefix_cache conflicts with prefix_caching=False"
             )
         if prefix_cache is not None and prefix_cache.kv_pools is not kv_pools:
             raise ValueError(
-                "an explicit prefix_cache must share the engine's kv_pools "
-                "(or both must be dense)"
+                "an explicit prefix_cache must be built over the engine's "
+                "kv_pools (pass the same KVPoolGroup as kv_pools=)"
             )
         self.prefix_cache: Optional[PrefixCache] = (
-            (
-                prefix_cache
-                if prefix_cache is not None
-                else PrefixCache(kv_pools=kv_pools)
-            )
+            (prefix_cache if prefix_cache is not None else PrefixCache(kv_pools))
             if prefix_caching
             else None
         )
@@ -508,7 +497,7 @@ class BatchedEngine:
         # Mixed-precision arenas demote fp pages irreversibly as the page
         # frontier advances; staged draft rows could trigger a demotion a
         # rollback cannot undo, so speculation is gated off wholesale.
-        self._speculation_pool_ok = kv_pools is None or all(
+        self._speculation_pool_ok = all(
             pool.mixed_precision is None for pool in kv_pools.pools
         )
         if speculation is not None:
@@ -564,8 +553,7 @@ class BatchedEngine:
           depths at each lifecycle stage.
         - ``queued``: their sum — outstanding sequences on this worker.
         - ``page_utilization``: worst-layer arena occupancy in ``[0, 1]``
-          (``1 - free/total``; ``0.0`` on dense engines, which have no
-          page pressure to balance on).
+          (``1 - free/total``).
 
         The snapshot is racy across keys (each is read independently while
         the stepping thread runs); that is fine for load balancing, which
@@ -575,14 +563,10 @@ class BatchedEngine:
         prefilling = self.scheduler.num_prefilling
         active = len(self.scheduler.active)
         parked = self.scheduler.num_preempted
-        utilization = 0.0
-        if self.kv_pools is not None:
-            for pool in self.kv_pools.pools:
-                total = pool.total_pages
-                if total:
-                    utilization = max(
-                        utilization, 1.0 - pool.free_pages / total
-                    )
+        utilization = max(
+            1.0 - pool.free_pages / pool.total_pages
+            for pool in self.kv_pools.pools
+        )
         return {
             "pending": pending,
             "prefilling": prefilling,
@@ -613,27 +597,32 @@ class BatchedEngine:
         telemetry — drafted/accepted token counts and acceptance rate, the
         committed-tokens-per-step histogram, rollback rows and pool pages
         freed by rejected drafts, auto-disabled sequences, page-pressure
-        downgrades and verify aborts.  ``speculation``/``kv_pool``/
-        ``prefix_cache`` are ``None`` when the corresponding feature is
-        off.
+        downgrades and verify aborts.  ``speculation``/``prefix_cache``
+        are ``None`` when the corresponding feature is off.
 
         **Stable schema.**  The section layout and key names are a
         documented contract: top-level counters/gauges (``steps``,
         ``pending``, ``prefilling``, ``active``, ``peak_active``,
         ``completed``), the ``admission``/``preemption``/
         ``failures_by_cause`` counter sections, the ``scheduler`` section
-        (:meth:`Scheduler.stats`), and the optional ``speculation``/
-        ``kv_pool``/``prefix_cache`` sections (``None`` when the feature
-        is off, never absent).  Every numeric leaf is a sum-aggregable
-        counter or occupancy gauge except the peak/config/ratio keys
-        listed in :data:`STATS_PEAK_KEYS` / :data:`STATS_CONFIG_KEYS` /
-        :data:`STATS_RATIO_KEYS`;
+        (:meth:`Scheduler.stats`), the ``kv_pool`` section, and the
+        optional ``speculation``/``prefix_cache`` sections (``None`` when
+        the feature is off, never absent).  Every numeric leaf is a
+        sum-aggregable counter or occupancy gauge except the
+        peak/config/ratio keys listed in :data:`STATS_PEAK_KEYS` /
+        :data:`STATS_CONFIG_KEYS` / :data:`STATS_RATIO_KEYS`;
         :func:`repro.serving.cluster.merge_stats` aggregates per-worker
         dicts of this schema into one cluster-wide view.  Must be read at
         quiescence or from the stepping thread — it walks in-flight
         sequence state; :meth:`load` is the cheap snapshot other threads
         (e.g. a cluster router) may take mid-step.
         """
+        pool_stats = self.kv_pools.stats()
+        remaining = self.scheduler.remaining_page_totals()
+        worst = self.scheduler.worst_case_page_totals()
+        pool_stats["reserved_pages"] = int(sum(remaining))
+        pool_stats["worst_case_reserved_pages"] = int(sum(worst))
+        pool_stats["reservation_delta"] = int(sum(worst) - sum(remaining))
         out: Dict[str, object] = {
             "steps": self._steps,
             "pending": self.scheduler.num_pending,
@@ -661,7 +650,7 @@ class BatchedEngine:
             "failures_by_cause": dict(self._failures_by_cause),
             "scheduler": self.scheduler.stats(),
             "speculation": None,
-            "kv_pool": None,
+            "kv_pool": pool_stats,
             "prefix_cache": None,
         }
         if self.speculation is not None:
@@ -685,14 +674,6 @@ class BatchedEngine:
                 "downgrades": self._spec_downgrades,
                 "aborts": self._spec_aborts,
             }
-        if self.kv_pools is not None:
-            pool_stats = self.kv_pools.stats()
-            remaining = self.scheduler.remaining_page_totals()
-            worst = self.scheduler.worst_case_page_totals()
-            pool_stats["reserved_pages"] = int(sum(remaining))
-            pool_stats["worst_case_reserved_pages"] = int(sum(worst))
-            pool_stats["reservation_delta"] = int(sum(worst) - sum(remaining))
-            out["kv_pool"] = pool_stats
         if self.prefix_cache is not None:
             cache = self.prefix_cache
             out["prefix_cache"] = {
@@ -703,13 +684,9 @@ class BatchedEngine:
                 "hit_rate": cache.stats.hit_rate,
                 "tokens_reused": cache.stats.tokens_reused,
                 "inserts_by_reference": cache.stats.inserts_by_reference,
-                "pages_held": (
-                    sum(
-                        cache.pages_held(layer)
-                        for layer in range(self.model.config.num_layers)
-                    )
-                    if self.kv_pools is not None
-                    else 0
+                "pages_held": sum(
+                    cache.pages_held(layer)
+                    for layer in range(self.model.config.num_layers)
                 ),
             }
         return out
@@ -784,10 +761,6 @@ class BatchedEngine:
         self, chunks: List[PrefillChunk], finished: List[ServingResponse]
     ) -> None:
         """Execute one step's scheduled chunks as a single packed pass."""
-        if not self.batched_prefill:
-            for chunk in chunks:
-                self._prefill_one_serial(chunk.seq, finished)
-            return
         seqs = [chunk.seq for chunk in chunks]
         try:
             logits_list, new_states = self.model.prefill_chunk_batched(
@@ -815,17 +788,6 @@ class BatchedEngine:
                 seq.prefix.release()
             if chunk.final:
                 self._complete_prefill(seq, logits, finished)
-
-    def _prefill_one_serial(
-        self, seq: PrefillingSequence, finished: List[ServingResponse]
-    ) -> None:
-        try:
-            logits = self.model.prefill(seq.prompt, seq.policies)
-        except Exception as exc:
-            self._abort_prefilling(seq, finished, exc)
-            return
-        seq.done = len(seq.prompt)
-        self._finish_or_promote(seq, logits, finished)
 
     def _restart_prefill_alone(
         self, seq: PrefillingSequence, finished: List[ServingResponse]
@@ -871,14 +833,6 @@ class BatchedEngine:
                 # A resume's pseudo-prompt (prompt + generated tokens) is
                 # not a reusable prompt; keep it out of the prefix cache.
                 self._cache_insert(seq.prompt, seq.state.layers, seq.policies)
-        self._finish_or_promote(seq, logits, finished)
-
-    def _finish_or_promote(
-        self,
-        seq: PrefillingSequence,
-        logits: np.ndarray,
-        finished: List[ServingResponse],
-    ) -> None:
         if seq.resume is not None:
             self._promote_resumed(seq, logits)
             return
@@ -991,17 +945,14 @@ class BatchedEngine:
     ) -> None:
         """Publish a finished prefill to the prefix cache.
 
-        Preferred path (paged engines): when every layer's policy retains
-        the whole prompt in pool pages, the entry *references* the
+        Preferred path: when every layer's policy retains the whole
+        prompt in pool pages, the entry *references* the
         sequence's own pages (refcount bump, zero page writes) — the
         sequence's later appends into the shared tail page copy-on-write
         split it, so the entry is immutable.  Fallback: copy the K/V rows
         into fresh pages, gated so the cache never claims pages an
         admitted sequence's outstanding demand still needs.
         """
-        if self.kv_pools is None:
-            self.prefix_cache.insert(prompt_ids, captured)
-            return
         n = len(prompt_ids)
         runs = [policy.prompt_page_run(n) for policy in policies]
         if all(run is not None for run in runs):
@@ -1154,7 +1105,7 @@ class BatchedEngine:
         if self.speculation is not None and continuing:
             spec_plan = self._plan_speculation(continuing)
 
-        if self.kv_pools is not None and continuing:
+        if continuing:
             continuing = self._enforce_decode_pages(
                 continuing, finished, spec_plan
             )
@@ -1493,10 +1444,9 @@ class BatchedEngine:
             admission_index=slot.admission_index,
             preemptions=slot.preemptions + 1,
         )
-        if self.kv_pools is not None:
-            self._preempted_pages_released += sum(
-                policy.kv_pages_held() for policy in slot.policies
-            )
+        self._preempted_pages_released += sum(
+            policy.kv_pages_held() for policy in slot.policies
+        )
         for policy in slot.policies:
             policy.release_kv()
         self._preemptions += 1

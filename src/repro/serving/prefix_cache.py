@@ -9,7 +9,7 @@ prefill outputs).  :class:`PrefixCache` exploits that: it remembers, for
 recently prefilled prompts, the per-layer K/V tensors and the scaled raw
 prefill-score block of every prefix, so a new request that shares a prefix
 only has to compute its suffix tokens
-(:meth:`repro.llm.model.TransformerLM.prefill_batched`).
+(:meth:`repro.llm.model.TransformerLM.prefill_chunk_batched`).
 
 Entries are keyed by the prompt token tuple; a lookup returns the longest
 cached common prefix, capped at ``len(prompt) - 1`` so the final prompt
@@ -17,33 +17,29 @@ position is always recomputed (its hidden state produces the first-token
 logits, which are not stored here).  Reuse below ``min_prefix_tokens`` is
 rejected — slicing bookkeeping would cost more than the skipped GEMM rows.
 
-The stored tensors per layer are ``(keys [n, h, d], values [n, h, d],
-scores [h, n, n])`` where ``scores`` are the *scaled* raw prefill attention
-scores exactly as :meth:`repro.llm.attention_layer.MultiHeadSelfAttention.prefill`
-hands them to a policy.  Only the causally visible part of the score block
-is ever consumed downstream (``accumulated_scores_from_attention`` masks the
-upper triangle), which is what makes the top-left block of a longer prompt's
+Each layer of an entry holds the prompt's K/V rows as refcounted *pool
+pages* (:class:`~repro.core.kv_pool.SharedKVPages`) in the serving
+engine's :class:`~repro.core.kv_pool.KVPoolGroup`, plus an owned copy of
+the *scaled* raw prefill attention scores ``[h, n, n]`` exactly as
+:meth:`repro.llm.attention_layer.MultiHeadSelfAttention.prefill` hands them
+to a policy.  Only the causally visible part of the score block is ever
+consumed downstream (``accumulated_scores_from_attention`` masks the upper
+triangle), which is what makes the top-left block of a longer prompt's
 score matrix reusable for any continuation.
 
-Paged entries
--------------
-When the cache is built over the serving engine's shared
-:class:`~repro.core.kv_pool.KVPoolGroup`, entries store their K/V rows as
-refcounted *pool pages* (:class:`~repro.core.kv_pool.SharedKVPages`)
-instead of owned dense copies.  A hit then hands the page run to the
-admitted sequence, whose whole-prompt-retaining policies adopt the pages
-zero-copy: the prefix's KV occupies pool memory once however many
-sequences share it, at admission *and* for the rest of decode.  Pages stay
-shared until a sharer overwrites one (copy-on-write split) and are freed
-when the last reference — cache entry or sequence — drops.  The prefill
-*score* blocks remain owned arrays (they are prefill-only and never
-shared with decode).
+A hit hands the page run to the admitted sequence, whose
+whole-prompt-retaining policies adopt the pages zero-copy: the prefix's KV
+occupies pool memory once however many sequences share it, at admission
+*and* for the rest of decode.  Pages stay shared until a sharer overwrites
+one (copy-on-write split) and are freed when the last reference — cache
+entry or sequence — drops.  The score blocks are prefill-only and never
+shared with decode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,12 +54,9 @@ LayerPrefillState = Tuple[np.ndarray, np.ndarray, np.ndarray]
 """Per-layer prefill tensors: ``(keys [n, h, d], values [n, h, d], scaled
 raw attention scores [h, n, n])``."""
 
-LayerPrefixState = Union[
-    LayerPrefillState,
-    Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[SharedKVPages]],
-]
-"""A :data:`LayerPrefillState` optionally extended with the shared pool
-pages holding the same rows (paged entries)."""
+LayerPrefixState = Tuple[np.ndarray, np.ndarray, np.ndarray, SharedKVPages]
+"""A :data:`LayerPrefillState` extended with the shared pool pages holding
+the same K/V rows."""
 
 
 def common_prefix_length(a: Sequence[int], b: Sequence[int]) -> int:
@@ -78,9 +71,9 @@ def common_prefix_length(a: Sequence[int], b: Sequence[int]) -> int:
 def _owned(array: np.ndarray) -> np.ndarray:
     """A float64 array that owns its memory.
 
-    Captured prefill tensors can be basic-indexing views into a whole
-    wave's packed QKV buffer; storing the view would pin that buffer for
-    the entry's lifetime and make :meth:`PrefixCache.memory_bytes` lie.
+    Captured prefill score blocks can be basic-indexing views into a
+    larger buffer; storing the view would pin that buffer for the entry's
+    lifetime and make :meth:`PrefixCache.memory_bytes` lie.
     """
     arr = np.asarray(array, dtype=np.float64)
     if arr.base is not None:
@@ -90,31 +83,22 @@ def _owned(array: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _CachedLayer:
-    """One layer of a cache entry: dense K/V copies *or* pool pages."""
+    """One layer of a cache entry: owned prefill scores + K/V pool pages."""
 
     scores: np.ndarray
-    keys: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-    pages: Optional[SharedKVPages] = None
-
-    def materialize_prefix(
-        self, length: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if self.pages is not None:
-            return self.pages.prefix(length).materialize()
-        return self.keys[:length], self.values[:length]
+    pages: SharedKVPages
 
 
 @dataclass
 class SequencePrefix:
-    """The reusable prefix handed to :meth:`TransformerLM.prefill_batched`.
+    """The reusable prefix handed to the packed prefill.
 
     ``layers[l]`` holds the layer-``l`` prefill tensors sliced to the first
-    ``length`` tokens of the prompt; ``pages[l]`` (paged cache only) is the
-    shared pool-page run holding the same rows, which paged policies adopt
-    zero-copy instead of re-storing them.
+    ``length`` tokens of the prompt; ``pages[l]`` is the shared pool-page
+    run holding the same K/V rows, which whole-prompt-retaining policies
+    adopt zero-copy instead of re-storing them.
 
-    A paged prefix is *pinned*: :meth:`PrefixCache.lookup` takes one page
+    A prefix is *pinned*: :meth:`PrefixCache.lookup` takes one page
     reference per layer on the consumer's behalf, so the pages survive
     even if the cache entry is LRU-evicted or shed for page pressure
     before the prefill that uses them runs.  The consumer must call
@@ -123,21 +107,19 @@ class SequencePrefix:
 
     length: int
     layers: List[LayerPrefillState]
-    pages: Optional[List[SharedKVPages]] = None
-    _pinned: bool = False
+    pages: List[SharedKVPages]
+    _pinned: bool = True
 
     def layer_states(self) -> List[LayerPrefixState]:
-        """Per-layer tuples as consumed by ``prefill_batched``."""
-        if self.pages is None:
-            return list(self.layers)
+        """Per-layer ``(keys, values, scores, pages)`` prefill inputs."""
         return [
             (keys, values, scores, shared)
             for (keys, values, scores), shared in zip(self.layers, self.pages)
         ]
 
     def release(self) -> None:
-        """Drop the lookup's page pins (no-op for dense prefixes)."""
-        if self._pinned and self.pages is not None:
+        """Drop the lookup's page pins."""
+        if self._pinned:
             for shared in self.pages:
                 shared.decref()
         self._pinned = False
@@ -172,6 +154,11 @@ class PrefixCache:
 
     Parameters
     ----------
+    kv_pools:
+        The per-layer page arenas (:class:`~repro.core.kv_pool.KVPoolGroup`)
+        entry K/V rows live in — the serving engine's own group, so
+        admitted sequences adopt cached pages zero-copy (see the module
+        docstring).
     max_entries:
         Maximum number of cached prompts; the least recently used entry is
         dropped first.
@@ -179,26 +166,23 @@ class PrefixCache:
         Shortest shared prefix worth reusing.  Lookups that would reuse
         fewer tokens report a miss.
     max_bytes:
-        Byte budget for the stored tensors.  The per-entry score blocks are
+        Byte budget for the stored tensors (score blocks plus the
+        codec-true bytes of held pages).  The per-entry score blocks are
         O(heads * n^2) per layer, so long distinct prompts would otherwise
         grow the cache far faster than ``max_entries`` suggests; the least
         recently used entries are dropped until the budget holds, and an
         entry larger than the whole budget is never stored.
-    kv_pools:
-        Optional shared per-layer page arenas
-        (:class:`~repro.core.kv_pool.KVPoolGroup`).  When given, entry K/V
-        rows are stored as refcounted pool pages that admitted sequences
-        adopt zero-copy (see the module docstring); without it entries own
-        dense copies (standalone / dense-engine use).
     """
 
     def __init__(
         self,
+        kv_pools: KVPoolGroup,
         max_entries: int = 64,
         min_prefix_tokens: int = 8,
         max_bytes: int = 256 * 1024 * 1024,
-        kv_pools: Optional[KVPoolGroup] = None,
     ) -> None:
+        if not isinstance(kv_pools, KVPoolGroup):
+            raise TypeError("PrefixCache needs the KVPoolGroup its pages live in")
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         if min_prefix_tokens < 1:
@@ -227,7 +211,7 @@ class PrefixCache:
         return len(self._entries)
 
     def memory_bytes(self) -> int:
-        """Bytes held by the cached tensors (owned copies + held pages)."""
+        """Bytes held by the cached entries (score blocks + held pages)."""
         return self._total_bytes
 
     def pages_held(self, layer: int) -> int:
@@ -237,12 +221,9 @@ class PrefixCache:
         can reference the same underlying pages, which occupy pool memory
         once however many entries point at them.
         """
-        if self.kv_pools is None:
-            return 0
         pages = set()
         for entry in self._entries.values():
-            if entry[layer].pages is not None:
-                pages.update(entry[layer].pages.page_ids)
+            pages.update(entry[layer].pages.page_ids)
         return len(pages)
 
     def clear(self) -> None:
@@ -309,9 +290,9 @@ class PrefixCache:
         The match is capped at ``len(token_ids) - 1``: the last prompt token
         must be recomputed because its final hidden state (the first-token
         logits) is not cached.  The returned tensors are read-only for the
-        caller; for paged entries the K/V blocks are materialised fresh
-        from the shared pages (the pages themselves travel alongside for
-        zero-copy adoption).
+        caller; the K/V blocks are materialised fresh from the shared
+        pages (the pages themselves travel alongside for zero-copy
+        adoption).
 
         A hit counts towards ``stats.hits`` here, but ``tokens_reused`` is
         only incremented by :meth:`commit_reuse` once the prefill that
@@ -327,19 +308,14 @@ class PrefixCache:
         p = best_len
         entry = self._entries[best_key]
         layers: List[LayerPrefillState] = []
-        pages: Optional[List[SharedKVPages]] = (
-            [] if self.kv_pools is not None else None
-        )
+        pages: List[SharedKVPages] = []
         for cached in entry:
-            keys, values = cached.materialize_prefix(p)
+            shared = cached.pages.prefix(p)
+            keys, values = shared.materialize()
             layers.append((keys, values, cached.scores[:, :p, :p]))
-            if pages is not None:
-                shared = cached.pages.prefix(p)
-                shared.incref()  # pin for the consumer; released after use
-                pages.append(shared)
-        return SequencePrefix(
-            length=p, layers=layers, pages=pages, _pinned=pages is not None
-        )
+            shared.incref()  # pin for the consumer; released after use
+            pages.append(shared)
+        return SequencePrefix(length=p, layers=layers, pages=pages)
 
     def commit_reuse(self, prefix: SequencePrefix) -> None:
         """Record that a prefill actually skipped ``prefix.length`` tokens.
@@ -364,7 +340,7 @@ class PrefixCache:
         existing entries that are a prefix of the new prompt are dropped
         (superseded): the new entry answers every lookup they could.
 
-        ``shared_pages`` (paged caches only) inserts *by reference*: each
+        ``shared_pages`` inserts *by reference*: each
         layer's handle must already point at pool pages holding the
         prompt's K/V rows — typically the inserting sequence's own pages
         (:meth:`~repro.core.policy.KVCachePolicy.prompt_page_run`) — and
@@ -385,10 +361,6 @@ class PrefixCache:
         """
         key = tuple(int(t) for t in token_ids)
         if shared_pages is not None:
-            if self.kv_pools is None:
-                for shared in shared_pages:
-                    shared.decref()
-                raise ValueError("shared_pages requires a paged cache (kv_pools)")
             if len(shared_pages) != self.kv_pools.num_layers or any(
                 shared.length != len(key) for shared in shared_pages
             ):
@@ -450,15 +422,6 @@ class PrefixCache:
         layers: Sequence[LayerPrefillState],
         shared_pages: Optional[Sequence[SharedKVPages]] = None,
     ) -> Optional[List[_CachedLayer]]:
-        if self.kv_pools is None:
-            return [
-                _CachedLayer(
-                    scores=_owned(scores),
-                    keys=_owned(keys),
-                    values=_owned(values),
-                )
-                for keys, values, scores in layers
-            ]
         if len(layers) != self.kv_pools.num_layers:
             if shared_pages is not None:
                 for shared in shared_pages:
@@ -502,21 +465,17 @@ class PrefixCache:
         return SharedKVPages(pool, table.detach(), keys.shape[0])
 
     def _layer_bytes(self, cached: _CachedLayer) -> int:
-        total = int(cached.scores.nbytes)
-        if cached.pages is not None:
-            # Codec-true: quantised arenas charge quantised bytes + scale
-            # metadata (plus any full-precision overlay a page carries),
-            # so the cache byte limit buys proportionally more prefixes.
-            pool = cached.pages.pool
-            total += sum(pool.page_bytes_of(p) for p in cached.pages.page_ids)
-        else:
-            total += int(cached.keys.nbytes + cached.values.nbytes)
-        return total
+        # Codec-true: quantised arenas charge quantised bytes + scale
+        # metadata (plus any full-precision overlay a page carries), so the
+        # cache byte limit buys proportionally more prefixes.
+        pool = cached.pages.pool
+        return int(cached.scores.nbytes) + sum(
+            pool.page_bytes_of(p) for p in cached.pages.page_ids
+        )
 
     def _release_entry(self, entry: Sequence[_CachedLayer]) -> None:
         for cached in entry:
-            if cached.pages is not None:
-                cached.pages.decref()
+            cached.pages.decref()
 
     def _touch(self, key: Tuple[int, ...]) -> None:
         """Mark ``key`` as most recently used."""

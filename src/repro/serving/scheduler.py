@@ -25,8 +25,8 @@ Generated tokens and ``PolicyStats`` are chunk-size-invariant for every
 policy (asserted across all seven in the test suite), so the budget is a
 pure latency/throughput knob.
 
-Admission control (paged engines)
----------------------------------
+Admission control
+-----------------
 The scheduler also owns page-gated admission, with *allocated-so-far*
 accounting that is tighter than the previous worst-case lifetime
 reservations: per layer it maintains
@@ -298,7 +298,7 @@ class Scheduler:
         policy: SchedulerPolicy,
         default_policy_factory,
         max_batch_size: Optional[int],
-        kv_pools: Optional[KVPoolGroup],
+        kv_pools: KVPoolGroup,
         prefix_cache: Optional[PrefixCache],
     ) -> None:
         self.model = model
@@ -528,11 +528,7 @@ class Scheduler:
             pages = policy.max_kv_pages(
                 prompt_len, new_tokens, pool.page_size
             )
-            if (
-                prefix is not None
-                and prefix.pages is not None
-                and policy.adopts_prefix_pages
-            ):
+            if prefix is not None and policy.adopts_prefix_pages:
                 pages = max(0, pages - prefix.pages[layer].full_pages)
             demands.append(pages)
         return demands
@@ -628,9 +624,7 @@ class Scheduler:
         cache = self.prefix_cache
         # One totals derivation per drain; admitted requests extend it
         # incrementally (no pool allocations happen during admission).
-        totals = (
-            self._admission_totals() if self.kv_pools is not None else []
-        )
+        totals = self._admission_totals()
         # Parked sequences resume ahead of any new admission: they are
         # strictly older than everything in the pending queue.
         self._resume_preempted(failures, totals)
@@ -668,50 +662,47 @@ class Scheduler:
                     prefix.release()
                 failures.append((request, exc))
                 continue
-            demand: List[int] = []
-            worst: List[int] = []
-            if self.kv_pools is not None:
-                worst = self._initial_demand(
-                    policies, len(prompt), request.max_new_tokens, prefix
-                )
-                if self.policy.admission == "optimistic":
-                    # Gate on the prefill footprint only; the lifetime
-                    # worst case just has to be *feasible* (fit the whole
-                    # arena) so the sequence can always complete alone.
-                    if any(
-                        pages > self.kv_pools.layer(layer).total_pages
-                        for layer, pages in enumerate(worst)
-                    ):
-                        verdict = "infeasible"
-                        demand = worst
-                    else:
-                        demand = self._initial_demand(
-                            policies, len(prompt), 0, prefix
-                        )
-                        verdict = self._page_verdict(demand, totals)
-                else:
+            worst = self._initial_demand(
+                policies, len(prompt), request.max_new_tokens, prefix
+            )
+            if self.policy.admission == "optimistic":
+                # Gate on the prefill footprint only; the lifetime worst
+                # case just has to be *feasible* (fit the whole arena) so
+                # the sequence can always complete alone.
+                if any(
+                    pages > self.kv_pools.layer(layer).total_pages
+                    for layer, pages in enumerate(worst)
+                ):
+                    verdict = "infeasible"
                     demand = worst
-                    verdict = self._page_verdict(demand, totals)
-                if verdict != "admit":
-                    # Unpin the looked-up prefix pages: a re-queued request
-                    # repeats its lookup later, a failed one never prefills.
-                    if prefix is not None:
-                        prefix.release()
-                    if verdict == "wait":
-                        self._page_deferrals += 1
-                        blocked.append(request)
-                        break
-                    self._infeasible_failures += 1
-                    failures.append(
-                        (
-                            request,
-                            PoolExhaustedError(
-                                "request needs more KV pool pages than the "
-                                f"arena holds (demand {demand} pages/layer)"
-                            ),
-                        )
+                else:
+                    demand = self._initial_demand(
+                        policies, len(prompt), 0, prefix
                     )
-                    continue
+                    verdict = self._page_verdict(demand, totals)
+            else:
+                demand = worst
+                verdict = self._page_verdict(demand, totals)
+            if verdict != "admit":
+                # Unpin the looked-up prefix pages: a re-queued request
+                # repeats its lookup later, a failed one never prefills.
+                if prefix is not None:
+                    prefix.release()
+                if verdict == "wait":
+                    self._page_deferrals += 1
+                    blocked.append(request)
+                    break
+                self._infeasible_failures += 1
+                failures.append(
+                    (
+                        request,
+                        PoolExhaustedError(
+                            "request needs more KV pool pages than the "
+                            f"arena holds (demand {demand} pages/layer)"
+                        ),
+                    )
+                )
+                continue
             seq = PrefillingSequence(
                 request=request,
                 prompt=prompt,
@@ -813,40 +804,35 @@ class Scheduler:
                 len(prefill_tokens) - prompt_len
             )
             prefix = cache.lookup(prefill_tokens) if cache is not None else None
-            demand: List[int] = []
-            worst: List[int] = []
-            if self.kv_pools is not None:
-                worst = self._initial_demand(
-                    policies, len(prefill_tokens), new_tokens, prefix
-                )
-                demand = (
-                    self._initial_demand(
-                        policies, len(prefill_tokens), 0, prefix
+            worst = self._initial_demand(
+                policies, len(prefill_tokens), new_tokens, prefix
+            )
+            demand = (
+                self._initial_demand(policies, len(prefill_tokens), 0, prefix)
+                if self.policy.admission == "optimistic"
+                else worst
+            )
+            verdict = self._page_verdict(demand, totals)
+            if verdict != "admit":
+                if prefix is not None:
+                    prefix.release()
+                if verdict == "wait":
+                    self._page_deferrals += 1
+                    break
+                # Unreachable in practice (the sequence already ran in this
+                # arena), kept fail-closed for safety.
+                self._preempted.popleft()
+                self._infeasible_failures += 1
+                failures.append(
+                    (
+                        request,
+                        PoolExhaustedError(
+                            "preempted sequence no longer fits the KV "
+                            f"arena on resume (demand {demand} pages/layer)"
+                        ),
                     )
-                    if self.policy.admission == "optimistic"
-                    else worst
                 )
-                verdict = self._page_verdict(demand, totals)
-                if verdict != "admit":
-                    if prefix is not None:
-                        prefix.release()
-                    if verdict == "wait":
-                        self._page_deferrals += 1
-                        break
-                    # Unreachable in practice (the sequence already ran in
-                    # this arena), kept fail-closed for safety.
-                    self._preempted.popleft()
-                    self._infeasible_failures += 1
-                    failures.append(
-                        (
-                            request,
-                            PoolExhaustedError(
-                                "preempted sequence no longer fits the KV "
-                                f"arena on resume (demand {demand} pages/layer)"
-                            ),
-                        )
-                    )
-                    continue
+                continue
             self._preempted.popleft()
             seq = PrefillingSequence(
                 request=request,

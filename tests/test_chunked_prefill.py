@@ -403,10 +403,6 @@ class TestSchedulerKnobValidation:
                 max_tokens_per_step=8,
             )
 
-    def test_chunking_requires_packed_prefill(self, model):
-        with pytest.raises(ValueError):
-            BatchedEngine(model, max_tokens_per_step=8, batched_prefill=False)
-
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
             SchedulerPolicy(max_tokens_per_step=0)

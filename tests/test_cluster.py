@@ -394,7 +394,8 @@ class TestRouters:
 # ----------------------------------------------------------------------
 class TestOnEvictHook:
     def _cache(self, **kwargs):
-        cache = PrefixCache(min_prefix_tokens=2, **kwargs)
+        pools = KVPoolGroup(LAYERS, 4, HEADS, HEAD_DIM, num_pages=64)
+        cache = PrefixCache(pools, min_prefix_tokens=2, **kwargs)
         evicted = []
         cache.on_evict = evicted.append
         return cache, evicted

@@ -1,12 +1,14 @@
-"""Paged engine vs dense engine: token- and stats-identical serving.
+"""Paged serving engine vs the serial reference: identical tokens and stats.
 
-The acceptance property of the paged-KV refactor: an engine whose
-sequences store K/V in the shared per-layer page arenas (``kv_pools``)
-must produce byte-identical generated tokens and identical
-``PolicyStats`` to the dense per-sequence layout, for every policy
-flavour and batch size — pages only change *where* rows live, never what
-any policy computes.  Pool-pressure behaviour (queueing on page
-availability, failing closed on infeasible demand) is exercised here too.
+The acceptance property of the paged KV arenas: an engine whose sequences
+store K/V in shared per-layer page arenas (``kv_pools``) must produce
+byte-identical generated tokens and identical ``PolicyStats`` to
+:func:`greedy_generate_serial` over standalone policies, for every policy
+flavour and batch size — pages, packed prefill and prefix sharing only
+change *where* rows live and *when* work happens, never what any policy
+computes.  Pool-pressure behaviour (queueing on page availability,
+failing closed on infeasible demand) and the default arena sizing are
+exercised here too.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from repro.core.kv_pool import KVPoolGroup
 from repro.eval.harness import POLICY_NAMES, build_policy_factory
 from repro.llm.config import ModelConfig
+from repro.llm.generation import greedy_generate_serial
 from repro.llm.model import TransformerLM
 from repro.serving import BatchedEngine, PrefixCache, ServingRequest
 
@@ -69,16 +72,40 @@ def run_engine(model, prompts, *, kv_pools=None, batch_size=4,
     return engine, engine.run()
 
 
-def assert_stats_identical(dense, paged):
-    assert dense.prefill_tokens == paged.prefill_tokens
-    assert dense.retained_after_prefill == paged.retained_after_prefill
-    assert dense.prefill_reused_tokens == paged.prefill_reused_tokens
-    assert dense.decode_steps == paged.decode_steps
-    assert dense.total_attended == paged.total_attended
-    assert dense.total_evictions == paged.total_evictions
-    assert dense.peak_cache_size == paged.peak_cache_size
-    assert len(dense.records) == len(paged.records)
-    for a, b in zip(dense.records, paged.records):
+def serial_reference(model, prompts, policy_factory=None, max_new_tokens=7):
+    return [
+        greedy_generate_serial(
+            model, prompt, max_new_tokens, policy_factory=policy_factory
+        )
+        for prompt in prompts
+    ]
+
+
+def assert_matches_serial(responses, serial):
+    """Tokens and every ``PolicyStats`` field and record match the serial
+    reference.  ``prefill_reused_tokens`` is the one field the serial
+    loop (which has no prefix cache) cannot reproduce; it is returned
+    summed over the responses' first layer for the caller to check."""
+    reused = 0
+    for response, want in zip(responses, serial, strict=True):
+        assert response.finish_reason != "error"
+        assert response.token_ids == want.token_ids
+        assert len(response.policy_stats) == len(want.policy_stats) == LAYERS
+        for got, ref in zip(response.policy_stats, want.policy_stats):
+            assert_stats_identical(ref, got)
+        reused += response.policy_stats[0].prefill_reused_tokens
+    return reused
+
+
+def assert_stats_identical(serial, paged):
+    assert serial.prefill_tokens == paged.prefill_tokens
+    assert serial.retained_after_prefill == paged.retained_after_prefill
+    assert serial.decode_steps == paged.decode_steps
+    assert serial.total_attended == paged.total_attended
+    assert serial.total_evictions == paged.total_evictions
+    assert serial.peak_cache_size == paged.peak_cache_size
+    assert len(serial.records) == len(paged.records)
+    for a, b in zip(serial.records, paged.records):
         assert a.position == b.position
         assert a.cache_size == b.cache_size
         assert a.num_attended == b.num_attended
@@ -91,7 +118,7 @@ def assert_stats_identical(dense, paged):
             )
 
 
-class TestPagedDenseEquivalence:
+class TestPagedSerialEquivalence:
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
     @pytest.mark.parametrize("batch_size", [1, 4, 16])
     def test_tokens_and_stats_identical(
@@ -101,20 +128,16 @@ class TestPagedDenseEquivalence:
             policy_name, prompt_length=len(shared_prefix_prompts[0]),
             cache_ratio=0.6,
         )
-        _, dense = run_engine(
-            model, shared_prefix_prompts,
-            batch_size=batch_size, policy_factory=factory,
-        )
+        serial = serial_reference(model, shared_prefix_prompts, factory)
         engine, paged = run_engine(
             model, shared_prefix_prompts, kv_pools=make_pools(),
             batch_size=batch_size, policy_factory=factory,
         )
-        for d, p in zip(dense, paged):
-            assert d.finish_reason == p.finish_reason != "error"
-            assert d.token_ids == p.token_ids
-            assert len(d.policy_stats) == len(p.policy_stats) == LAYERS
-            for ds, ps in zip(d.policy_stats, p.policy_stats):
-                assert_stats_identical(ds, ps)
+        reused = assert_matches_serial(paged, serial)
+        # The shared prefix was reused, and every reused token is one the
+        # prefix cache counted.
+        assert reused > 0
+        assert reused == engine.prefix_cache.stats.tokens_reused
         stats = engine.stats()
         # Every page went back to the arena or is held by the prefix cache.
         assert stats["kv_pool"]["reserved_pages"] == 0
@@ -157,7 +180,7 @@ class TestPagedDenseEquivalence:
         pools = make_pools()
         with pytest.raises(ValueError):
             BatchedEngine(
-                model, kv_pools=pools, prefix_cache=PrefixCache()
+                model, kv_pools=pools, prefix_cache=PrefixCache(make_pools())
             )
 
 
@@ -167,15 +190,14 @@ class TestPagePressure:
     ):
         """A pool too small for the whole batch serialises admission
         (page-gated) but still completes every request correctly."""
-        _, dense = run_engine(model, shared_prefix_prompts, batch_size=16)
+        serial = serial_reference(model, shared_prefix_prompts)
         # ~2 full-cache sequences' worth of pages per layer.
         pools = make_pools(num_pages=10, page_size=8)
         engine, paged = run_engine(
             model, shared_prefix_prompts, kv_pools=pools, batch_size=16
         )
-        for d, p in zip(dense, paged):
-            assert p.finish_reason == d.finish_reason != "error"
-            assert p.token_ids == d.token_ids
+        assert assert_matches_serial(paged, serial) > 0
+        assert all(p.finish_reason == "length" for p in paged)
         assert engine.stats()["admission"]["page_deferrals"] > 0
         assert engine.stats()["peak_active"] < len(shared_prefix_prompts)
 
@@ -228,7 +250,7 @@ class TestPagePressure:
         from repro.serving import PrefixCache
 
         pools = make_pools(num_pages=64, page_size=4)
-        cache = PrefixCache(min_prefix_tokens=2, kv_pools=pools)
+        cache = PrefixCache(pools, min_prefix_tokens=2)
         rng = np.random.default_rng(9)
         prompt = list(map(int, rng.integers(0, VOCAB, size=12)))
         captured = [
@@ -241,7 +263,7 @@ class TestPagePressure:
         ]
         assert cache.insert(prompt, captured)
         prefix = cache.lookup(prompt + [1])
-        assert prefix is not None and prefix.pages is not None
+        assert prefix is not None
         expected_keys = [layer[0][: prefix.length].copy() for layer in captured]
 
         assert cache.drop_lru_entry()  # entry gone, pages must survive
@@ -268,3 +290,42 @@ class TestPagePressure:
         )
         engine.prefix_cache.clear()
         assert sum(p.pages_in_use for p in pools.pools) == 0
+
+
+class TestDefaultPools:
+    def test_default_arena_fits_max_batch_of_full_length_sequences(self):
+        """Without ``kv_pools`` the engine sizes its arenas so that
+        ``max_batch_size`` full-cache sequences of ``max_position`` tokens
+        run concurrently with no page deferral."""
+        max_position, batch = 64, 4
+        config = ModelConfig(
+            vocab_size=VOCAB,
+            model_dim=HEADS * HEAD_DIM,
+            num_heads=HEADS,
+            head_dim=HEAD_DIM,
+            num_layers=LAYERS,
+            mlp_hidden_dim=24,
+            max_position=max_position,
+            seed=5,
+        )
+        small = TransformerLM(config)
+        rng = np.random.default_rng(31)
+        new_tokens = 16
+        prompts = [
+            list(map(int, rng.integers(0, VOCAB, size=max_position - new_tokens)))
+            for _ in range(batch)
+        ]
+        engine, responses = run_engine(
+            small, prompts, batch_size=batch, max_new_tokens=new_tokens
+        )
+        stats = engine.stats()
+        assert stats["admission"]["page_deferrals"] == 0
+        assert stats["peak_active"] == batch
+        assert stats["kv_pool"]["pages_total"] == LAYERS * batch * (
+            max_position // 16
+        )
+        assert all(r.finish_reason == "length" for r in responses)
+        assert all(r.num_generated == new_tokens for r in responses)
+        assert_matches_serial(
+            responses, serial_reference(small, prompts, max_new_tokens=new_tokens)
+        )

@@ -19,6 +19,7 @@ from repro.core.baselines import (
 from repro.core.config import PruningConfig
 from repro.core.dynamic_pruning import CAMApproximateSelector, CAMSelectorConfig
 from repro.core.hybrid import UniCAIMPolicy
+from repro.core.kv_pool import KVPoolGroup
 from repro.llm.config import ModelConfig
 from repro.llm.generation import greedy_generate_serial
 from repro.llm.model import TransformerLM
@@ -40,6 +41,15 @@ def model():
         seed=3,
     )
     return TransformerLM(config)
+
+
+def model_pools(model, num_pages=256):
+    """Fixed arenas shaped for ``model`` (16-token pages)."""
+    config = model.config
+    return KVPoolGroup(
+        config.num_layers, 16, config.num_heads, config.head_dim,
+        num_pages=num_pages,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -219,9 +229,12 @@ class TestSharedPrefixServingEquivalence:
             assert response.token_ids == want.token_ids
 
     def test_shared_cache_across_engines(self, model, shared_prefix_prompts):
-        cache = PrefixCache()
+        pools = model_pools(model)
+        cache = PrefixCache(pools)
         for prompt in shared_prefix_prompts[:2]:
-            engine = BatchedEngine(model, max_batch_size=2, prefix_cache=cache)
+            engine = BatchedEngine(
+                model, max_batch_size=2, kv_pools=pools, prefix_cache=cache
+            )
             engine.submit(ServingRequest(prompt_ids=prompt, max_new_tokens=4))
             response = engine.run()[0]
             want = greedy_generate_serial(model, prompt, 4)
@@ -230,6 +243,12 @@ class TestSharedPrefixServingEquivalence:
 
 
 class TestPrefixCacheUnit:
+    @staticmethod
+    def cache(**kwargs):
+        """A one-layer cache over 4-token pages: an entry of 4 or 8 tokens
+        then costs exactly its K/V row bytes plus its score block."""
+        return PrefixCache(KVPoolGroup(1, 4, 2, 4, num_pages=64), **kwargs)
+
     def layer_state(self, n, heads=2, dim=4, seed=0):
         rng = np.random.default_rng(seed)
         return [
@@ -241,7 +260,7 @@ class TestPrefixCacheUnit:
         ]
 
     def test_lookup_returns_longest_match_capped_at_len_minus_one(self):
-        cache = PrefixCache(min_prefix_tokens=2)
+        cache = self.cache(min_prefix_tokens=2)
         cache.insert(list(range(10)), self.layer_state(10))
         cache.insert(list(range(5)), self.layer_state(5))
         hit = cache.lookup(list(range(8)) + [99, 98])
@@ -254,20 +273,20 @@ class TestPrefixCacheUnit:
         assert full is not None and full.length == 9
 
     def test_min_prefix_tokens_rejects_short_matches(self):
-        cache = PrefixCache(min_prefix_tokens=6)
+        cache = self.cache(min_prefix_tokens=6)
         cache.insert(list(range(10)), self.layer_state(10))
         assert cache.lookup([0, 1, 2, 77, 78, 79, 80]) is None
         assert cache.lookup(list(range(7))) is not None
 
     def test_insert_skips_prompts_covered_by_existing_entry(self):
-        cache = PrefixCache(min_prefix_tokens=2)
+        cache = self.cache(min_prefix_tokens=2)
         assert cache.insert(list(range(10)), self.layer_state(10))
         assert not cache.insert(list(range(6)), self.layer_state(6))
         assert len(cache) == 1
         assert cache.stats.skipped_inserts == 1
 
     def test_lru_eviction(self):
-        cache = PrefixCache(max_entries=2, min_prefix_tokens=2)
+        cache = self.cache(max_entries=2, min_prefix_tokens=2)
         cache.insert([1, 2, 3, 4], self.layer_state(4, seed=1))
         cache.insert([5, 6, 7, 8], self.layer_state(4, seed=2))
         assert cache.lookup([1, 2, 3, 9]) is not None  # touch the first entry
@@ -278,7 +297,7 @@ class TestPrefixCacheUnit:
         assert cache.lookup([1, 2, 3, 9]) is not None
 
     def test_stats_and_memory_accounting(self):
-        cache = PrefixCache(min_prefix_tokens=2)
+        cache = self.cache(min_prefix_tokens=2)
         cache.insert(list(range(6)), self.layer_state(6))
         assert cache.memory_bytes() > 0
         hit = cache.lookup(list(range(4)))
@@ -298,7 +317,7 @@ class TestPrefixCacheUnit:
     def test_oversized_insert_does_not_purge_superseded_entries(self):
         state = self.layer_state(4)
         entry_bytes = sum(k.nbytes + v.nbytes + s.nbytes for k, v, s in state)
-        cache = PrefixCache(min_prefix_tokens=2, max_bytes=entry_bytes)
+        cache = self.cache(min_prefix_tokens=2, max_bytes=entry_bytes)
         assert cache.insert([1, 2, 3, 4], state)
         # Extending the cached prefix with an entry too big to store must
         # leave the existing (storable) entry untouched.
@@ -313,21 +332,27 @@ class TestPrefixCacheUnit:
         assert common_prefix_length([], [1]) == 0
 
     def test_entries_own_their_memory(self, model):
-        """Inserted tensors must be copies, not views pinning the packed
-        QKV buffer of the whole prefill wave."""
-        cache = PrefixCache(min_prefix_tokens=2)
+        """Inserted score blocks must be copies, not views pinning the
+        prefill's buffers; K/V rows live in pool pages."""
+        cache = PrefixCache(model_pools(model), min_prefix_tokens=2)
         prompts = [[1, 2, 3, 4, 5], [6, 7, 8, 9]]
         _, captured = model.prefill_batched(
             prompts, [model.make_policies(None) for _ in prompts]
         )
         cache.insert(prompts[0], captured[0])
-        for cached in cache._entries[tuple(prompts[0])]:
-            assert cached.keys.base is None
-            assert cached.values.base is None
+        entry = cache._entries[tuple(prompts[0])]
+        for cached, (keys, values, _) in zip(entry, captured[0]):
             assert cached.scores.base is None
+            paged_keys, paged_values = cached.pages.materialize()
+            np.testing.assert_array_equal(paged_keys, keys)
+            np.testing.assert_array_equal(paged_values, values)
+
+    def test_requires_pools(self):
+        with pytest.raises(TypeError):
+            PrefixCache(None)
 
     def test_peek_length_has_no_side_effects(self):
-        cache = PrefixCache(min_prefix_tokens=2)
+        cache = self.cache(min_prefix_tokens=2)
         cache.insert(list(range(10)), self.layer_state(10))
         assert cache.peek_length(list(range(6))) == 5
         assert cache.peek_length([55, 56, 57]) == 0
@@ -338,7 +363,7 @@ class TestPrefixCacheUnit:
     def test_max_bytes_budget_evicts_lru(self):
         state = self.layer_state(8)
         entry_bytes = sum(k.nbytes + v.nbytes + s.nbytes for k, v, s in state)
-        cache = PrefixCache(min_prefix_tokens=2, max_bytes=2 * entry_bytes)
+        cache = self.cache(min_prefix_tokens=2, max_bytes=2 * entry_bytes)
         cache.insert([1, 2, 3, 4, 5, 6, 7, 8], self.layer_state(8, seed=1))
         cache.insert([11, 12, 13, 14, 15, 16, 17, 18], self.layer_state(8, seed=2))
         assert len(cache) == 2
@@ -351,20 +376,24 @@ class TestPrefixCacheUnit:
     def test_oversized_entry_is_not_stored(self):
         state = self.layer_state(8)
         entry_bytes = sum(k.nbytes + v.nbytes + s.nbytes for k, v, s in state)
-        cache = PrefixCache(min_prefix_tokens=2, max_bytes=entry_bytes - 1)
+        cache = self.cache(min_prefix_tokens=2, max_bytes=entry_bytes - 1)
         assert not cache.insert([1, 2, 3, 4, 5, 6, 7, 8], state)
         assert len(cache) == 0
         assert cache.memory_bytes() == 0
         assert cache.stats.skipped_inserts == 1
 
     def test_explicit_cache_conflicts_raise(self, model):
+        pools = model_pools(model)
         with pytest.raises(ValueError):
-            BatchedEngine(model, prefix_cache=PrefixCache(), batched_prefill=False)
-        with pytest.raises(ValueError):
-            BatchedEngine(model, prefix_cache=PrefixCache(), prefix_caching=False)
+            BatchedEngine(
+                model, kv_pools=pools, prefix_cache=PrefixCache(pools),
+                prefix_caching=False,
+            )
+        with pytest.raises(ValueError):  # built over other arenas
+            BatchedEngine(model, prefix_cache=PrefixCache(pools))
 
     def test_covering_insert_supersedes_prefix_entries(self):
-        cache = PrefixCache(min_prefix_tokens=2)
+        cache = self.cache(min_prefix_tokens=2)
         cache.insert([1, 2, 3, 4], self.layer_state(4))
         cache.insert([1, 2, 3, 4, 5, 6], self.layer_state(6))
         assert len(cache) == 1

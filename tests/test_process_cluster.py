@@ -2,14 +2,15 @@
 
 The load-bearing guarantees:
 
-* ``SharedArenaAllocator`` backs ``PagedKVPool`` arrays with named
-  ``multiprocessing.shared_memory`` segments that another process can
-  attach to byte-identically — including the int8/int4 codec scale
-  arrays — and the dense path is untouched (bit-identical by
-  construction: same ``np.ndarray`` semantics, different buffer).
+* ``SharedArenaAllocator`` backs ``PagedKVPool`` arrays with named POSIX
+  shared-memory segments that another process can attach to
+  byte-identically — including the int8/int4 codec scale arrays — and
+  the in-process path is untouched (bit-identical by construction: same
+  ``np.ndarray`` semantics, different buffer).
 * Segments never outlive the cluster: normal ``shutdown()``, repeated
   ``drain()``, a SIGKILLed worker, and a parent exception (context
-  manager) all leave ``/dev/shm`` clean.
+  manager) all leave ``/dev/shm`` clean — and no helper process (a
+  ``multiprocessing`` resource tracker) is started to manage them.
 * A process cluster is per-request token-identical to the bare engine
   and the threaded lockstep cluster for all 7 policies on both named
   scenarios (acceptance criterion), with ``error_cause="worker_died"``
@@ -22,12 +23,17 @@ The load-bearing guarantees:
 
 import glob
 import os
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.kv_pool import (
     AttachedArena,
@@ -434,6 +440,88 @@ class TestSharedMemoryLifecycle:
                 cluster.submit(_req([1, 2, 3]))
                 raise RuntimeError("parent blew up")
         assert not shm_entries("repro-cluster-")
+
+
+    def test_cluster_starts_no_resource_tracker(self):
+        """Neither the parent nor a worker may start a ``multiprocessing``
+        resource tracker: segments are unlinked explicitly, so a tracker
+        has nothing to do and outlives the workers that started it.
+
+        The cluster runs in a fresh interpreter (a tracker this test
+        process started earlier would be reused by forked workers and
+        hide new ones); this test scans the process table while that
+        interpreter sits after ``shutdown()``."""
+        before = resource_tracker_pids()
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", TRACKER_PROBE],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 120.0)
+            assert ready, "probe cluster did not finish within 120 s"
+            assert proc.stdout.readline().strip() == "shut down"
+            appeared = resource_tracker_pids() - before
+            proc.communicate(input="\n", timeout=60.0)
+            assert proc.returncode == 0
+            assert not appeared, f"resource tracker pids {sorted(appeared)}"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            SharedArenaAllocator.unlink_by_prefix(f"repro-cluster-{proc.pid}-")
+
+
+TRACKER_PROBE = """
+import sys
+from repro.core.kv_pool import KVPoolGroup
+from repro.llm.config import ModelConfig
+from repro.llm.model import TransformerLM
+from repro.serving import BatchedEngine, EngineCluster, ServingRequest
+
+model = TransformerLM(ModelConfig(
+    vocab_size=89, model_dim=16, num_heads=2, head_dim=8, num_layers=2,
+    mlp_hidden_dim=24, seed=5,
+))
+
+def factory():
+    pools = KVPoolGroup(2, 8, 2, 8, num_pages=32)
+    return BatchedEngine(model, max_batch_size=2, kv_pools=pools)
+
+cluster = EngineCluster(factory, num_workers=2, mode="process")
+for i in range(4):
+    cluster.submit(ServingRequest(prompt_ids=[i + 1, 2, 3, 4], max_new_tokens=3))
+assert all(r.finish_reason == "length" for r in cluster.run())
+cluster.shutdown()
+print("shut down", flush=True)
+sys.stdin.readline()
+"""
+
+
+def resource_tracker_pids():
+    """Pids whose argv is CPython's resource-tracker launch line,
+    ``python -B -c "from multiprocessing.resource_tracker import main…"``
+    (argv match, not substring: a shell grepping for it never matches)."""
+    pids = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                argv = fh.read().split(b"\0")
+        except OSError:
+            continue  # exited while we scanned
+        if (
+            len(argv) >= 4
+            and os.path.basename(argv[0]).startswith(b"python")
+            and argv[1:3] == [b"-B", b"-c"]
+            and argv[3].startswith(
+                b"from multiprocessing.resource_tracker import main"
+            )
+        ):
+            pids.add(int(entry))
+    return pids
 
 
 # ----------------------------------------------------------------------

@@ -248,17 +248,14 @@ class TestAdmissionFailureConsistency:
         assert engine.num_pending == 0
         assert engine.run() == []
 
-    @pytest.mark.parametrize("batched_prefill", [True, False], ids=["batched", "serial"])
-    def test_failing_prefill_becomes_error_response(self, model, prompts, batched_prefill):
+    def test_failing_prefill_becomes_error_response(self, model, prompts):
         """A prefill exception fails only the offending request; the engine
         stays consistent and later runs never raise KeyError."""
 
         def broken_factory(heads, dim):
             raise RuntimeError("policy construction exploded")
 
-        engine = BatchedEngine(
-            model, max_batch_size=4, batched_prefill=batched_prefill
-        )
+        engine = BatchedEngine(model, max_batch_size=4)
         ok_before = engine.submit(
             ServingRequest(prompt_ids=prompts[0], max_new_tokens=3)
         )
