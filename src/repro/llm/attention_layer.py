@@ -155,7 +155,7 @@ class MultiHeadSelfAttention:
         segments: Sequence[Tuple[int, int]],
         priors: Sequence[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
         policies: Sequence[Optional[KVCachePolicy]],
-        extends: Optional[Sequence[Optional[tuple]]] = None,
+        extends: Sequence[tuple],
         buffers: Optional[Sequence[Optional[tuple]]] = None,
     ) -> Tuple[np.ndarray, list]:
         """Padding-free causal attention over one *chunk* of several prompts.
@@ -175,17 +175,15 @@ class MultiHeadSelfAttention:
         queries attend against the prior keys concatenated with their own.
         A whole-prompt prefill is the one-chunk special case (``p = 0``).
 
-        ``extends[b]``, when given, is ``(fed, final, reused_tokens,
-        prefix_pages)`` describing how to feed sequence ``b``'s policy: the
+        ``extends[b]`` is ``(fed, final, reused_tokens, prefix_pages)``
+        describing how to feed sequence ``b``'s policy: the
         cumulative ``(k_full, v_full, scores)`` tensors are handed to
         :meth:`~repro.core.policy.KVCachePolicy.prefill_extend` with
         ``start=fed`` (rows already fed by earlier chunks), so incremental
         backends commit just the new rows while deferred backends wait for
         ``final``.  ``prefix_pages`` carries the shared pool pages of a
         reused prefix (:class:`~repro.core.kv_pool.SharedKVPages`) for
-        zero-copy adoption on the first chunk.  ``extends=None`` treats
-        every sequence as a final single chunk with ``reused_tokens`` and
-        pages taken from 4-tuple priors (the legacy packed-prefill call).
+        zero-copy adoption on the first chunk.
 
         ``buffers[b]``, when given, is the sequence's full-prompt-sized
         ``(k_buf [N, h, d], v_buf [N, h, d], s_buf [h, N, N])``
@@ -208,12 +206,11 @@ class MultiHeadSelfAttention:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.model_dim:
             raise ValueError(f"x must be [total, {self.model_dim}]")
-        if not (len(segments) == len(priors) == len(policies)):
+        if not (len(segments) == len(priors) == len(policies) == len(extends)):
             raise ValueError(
-                "segments, priors and policies must agree on batch size"
+                "segments, priors, policies and extends must agree on batch "
+                "size"
             )
-        if extends is not None and len(extends) != len(segments):
-            raise ValueError("extends must match the batch size")
         if buffers is not None and len(buffers) != len(segments):
             raise ValueError("buffers must match the batch size")
         total = x.shape[0]
@@ -230,12 +227,10 @@ class MultiHeadSelfAttention:
                 raise ValueError("every segment must cover at least one token")
             rows = slice(start, start + length)
             q = qkv[rows, 0]
-            prior_pages = None
             if prior is None:
                 p = 0
             else:
-                prior_k, prior_v, prior_scores, *rest = prior
-                prior_pages = rest[0] if rest else None
+                prior_k, prior_v, prior_scores = prior
                 p = prior_k.shape[0]
             n = p + length
             buffer = buffers[b] if buffers is not None else None
@@ -280,10 +275,7 @@ class MultiHeadSelfAttention:
             head_out[rows] = np.einsum("hqk,khd->qhd", probs, v_full)
 
             if policy is not None:
-                if extends is None:
-                    fed, final, reused, pages = 0, True, p, prior_pages
-                else:
-                    fed, final, reused, pages = extends[b]
+                fed, final, reused, pages = extends[b]
                 policy.prefill_extend(
                     k_full,
                     v_full,
@@ -297,18 +289,6 @@ class MultiHeadSelfAttention:
 
         output = head_out.reshape(total, hd) @ w_o
         return output, captured
-
-    def prefill_packed(
-        self,
-        x: np.ndarray,
-        segments: Sequence[Tuple[int, int]],
-        prefixes: Sequence[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
-        policies: Sequence[Optional[KVCachePolicy]],
-    ) -> Tuple[np.ndarray, list]:
-        """Whole-prompt packed prefill: :meth:`prefill_chunk` with every
-        sequence's remaining prompt as one final chunk (``prefixes`` as the
-        priors)."""
-        return self.prefill_chunk(x, segments, prefixes, policies)
 
     def decode(
         self,
@@ -324,57 +304,22 @@ class MultiHeadSelfAttention:
         head_out = policy.decode_step(q, k, v, position)
         return self.output_projection(head_out)
 
-    def decode_batched(
-        self,
-        x: np.ndarray,
-        positions: Sequence[int],
-        policies: Sequence[KVCachePolicy],
-    ) -> np.ndarray:
-        """One decoding step for ``B`` independent sequences at once.
-
-        The Q/K/V and output projections are computed as single batched
-        einsums over all sequences; only the per-sequence cache update
-        (``policy.decode_step``) remains a loop, because each sequence owns
-        its own KV cache.  Returns the attention outputs ``[B, model_dim]``.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.model_dim:
-            raise ValueError(f"x must be [batch, {self.model_dim}]")
-        if not (x.shape[0] == len(positions) == len(policies)):
-            raise ValueError("x, positions and policies must agree on batch size")
-        batch = x.shape[0]
-        hd = self.num_heads * self.head_dim
-        w_qkv, w_o = self._packed_weights()
-        qkv = x @ w_qkv  # [B, 3*h*d], one GEMM for the whole batch
-        qkv = qkv.reshape(batch, 3, self.num_heads, self.head_dim)
-        head_out = np.stack(
-            [
-                policy.decode_step(
-                    qkv[b, 0], qkv[b, 1], qkv[b, 2], int(positions[b])
-                )
-                for b, policy in enumerate(policies)
-            ],
-            axis=0,
-        )
-        return head_out.reshape(batch, hd) @ w_o
-
     def decode_group(
         self,
         x: np.ndarray,
         positions: Sequence[int],
         policies: Sequence[KVCachePolicy],
-        groups: Optional[Sequence[Tuple[str, int, int]]] = None,
+        groups: Sequence[Tuple[str, int, int]],
         telemetry: Optional[GroupDecodeStats] = None,
     ) -> np.ndarray:
-        """One decoding step for ``B`` sequences with per-group vectorization.
+        """One decoding step for ``B`` independent sequences at once.
 
-        Like :meth:`decode_batched` — one packed Q/K/V GEMM across the
-        whole step and one packed output GEMM — but the per-sequence
-        ``decode_step`` loop in the middle is replaced by one
+        The Q/K/V and output projections are one packed GEMM each across
+        the whole step; each sequence owns its own KV cache, and the
+        cache-side middle runs as one
         :meth:`~repro.core.policy.KVCachePolicy.decode_step_group` call per
         policy-homogeneous span of ``groups`` (spans ``(key, start,
-        length)`` over the batch order; derived from contiguous same-policy
-        runs when ``None``).  Spans whose policy lacks a vectorized
+        length)`` over the batch order).  Spans whose policy lacks a vectorized
         override — and singleton spans, where batching buys nothing — fall
         back to the per-sequence loop, so arbitrary policy subclasses keep
         working.  Dispatch counts land in ``telemetry``.
@@ -413,7 +358,7 @@ class MultiHeadSelfAttention:
         convention); sequence ``b``'s rows occupy logical positions
         ``start_positions[b] ..``.  The Q/K/V projection is one packed GEMM
         over all rows and the output projection one packed GEMM over all
-        head outputs — the same two GEMMs :meth:`decode_batched` amortizes
+        head outputs — the same two GEMMs :meth:`decode_group` amortizes
         over a batch, here amortized over ``k`` draft tokens per sequence
         as well.  The per-sequence middle hands each chunk to
         :meth:`~repro.core.policy.KVCachePolicy.begin_speculation`, which

@@ -45,39 +45,13 @@ class TransformerBlock:
         x = x + self.mlp.forward(self._norm(x))
         return x, scores
 
-    def prefill_packed(
-        self,
-        x: np.ndarray,
-        segments,
-        prefixes,
-        policies,
-    ) -> Tuple[np.ndarray, list]:
-        """Process several concatenated prompts at once (padding-free).
-
-        Layernorm and the MLP broadcast over the packed rows; the attention
-        layer runs one packed Q/K/V GEMM and per-sequence causal blocks
-        (see :meth:`MultiHeadSelfAttention.prefill_packed`).  ``prefixes``
-        entries may carry a shared-pool page handle as their fourth element
-        (see :mod:`repro.core.kv_pool`), which flows through to the
-        policies for zero-copy prefix adoption.  Returns the packed hidden
-        states and the per-sequence captured ``(keys, values, scores)``
-        tensors for prefix caching.
-        """
-        attn_in = self._norm(x)
-        attn_out, captured = self.attention.prefill_packed(
-            attn_in, segments, prefixes, policies
-        )
-        x = np.asarray(x, dtype=np.float64) + attn_out
-        x = x + self.mlp.forward(self._norm(x))
-        return x, captured
-
     def prefill_chunk(
         self,
         x: np.ndarray,
         segments,
         priors,
         policies,
-        extends=None,
+        extends,
         buffers=None,
     ) -> Tuple[np.ndarray, list]:
         """Process one prefill chunk of several prompts (padding-free).
@@ -85,11 +59,12 @@ class TransformerBlock:
         Layernorm and the MLP broadcast over the packed chunk rows; the
         attention layer attends the chunk queries against the accumulated
         prior K/V (see :meth:`MultiHeadSelfAttention.prefill_chunk`) and
-        feeds each policy incrementally through ``prefill_extend``.
-        ``buffers`` optionally supplies per-sequence full-prompt
-        accumulation arrays written in place.  Returns the packed hidden
-        states of the chunk rows and the per-sequence accumulated
-        ``(keys, values, scores)`` tensors (the next chunk's priors).
+        feeds each policy incrementally through ``prefill_extend`` as
+        ``extends`` describes.  ``buffers`` optionally supplies
+        per-sequence full-prompt accumulation arrays written in place.
+        Returns the packed hidden states of the chunk rows and the
+        per-sequence accumulated ``(keys, values, scores)`` tensors (the
+        next chunk's priors).
         """
         attn_in = self._norm(x)
         attn_out, captured = self.attention.prefill_chunk(
@@ -112,37 +87,19 @@ class TransformerBlock:
         x_t = x_t + self.mlp.forward(self._norm(x_t))
         return x_t
 
-    def decode_batched(
-        self,
-        x: np.ndarray,
-        positions: Sequence[int],
-        policies: Sequence[KVCachePolicy],
-    ) -> np.ndarray:
-        """Process one generated token per sequence, ``[B, model_dim]`` in/out.
-
-        Layernorm and the MLP broadcast over the batch axis; the attention
-        layer batches its projections and loops only over the per-sequence
-        KV caches.
-        """
-        attn_in = self._norm(x)
-        attn_out = self.attention.decode_batched(attn_in, positions, policies)
-        x = np.asarray(x, dtype=np.float64) + attn_out
-        x = x + self.mlp.forward(self._norm(x))
-        return x
-
     def decode_group(
         self,
         x: np.ndarray,
         positions: Sequence[int],
         policies: Sequence[KVCachePolicy],
-        groups=None,
+        groups,
         telemetry=None,
     ) -> np.ndarray:
-        """Group-vectorized variant of :meth:`decode_batched`.
+        """Process one generated token per sequence, ``[B, model_dim]`` in/out.
 
-        Same packed projections, layernorm and MLP broadcast; the
-        attention layer executes each policy-homogeneous span of ``groups``
-        as one vectorized ``decode_step_group`` call (see
+        Layernorm and the MLP broadcast over the batch axis; the attention
+        layer batches its projections and executes each policy-homogeneous
+        span of ``groups`` as one vectorized ``decode_step_group`` call (see
         :meth:`MultiHeadSelfAttention.decode_group`).
         """
         attn_in = self._norm(x)
@@ -163,7 +120,7 @@ class TransformerBlock:
         """Speculative-verify pass over packed per-sequence draft chunks.
 
         Layernorm and the MLP broadcast over the packed rows exactly as in
-        :meth:`decode_batched`; the attention layer stages each sequence's
+        :meth:`decode_group`; the attention layer stages each sequence's
         chunk through its policy's ``begin_speculation`` (see
         :meth:`MultiHeadSelfAttention.verify_chunk`).
         """

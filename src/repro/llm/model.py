@@ -1,12 +1,17 @@
 """The numpy transformer language model used as the evaluation substrate.
 
-:class:`TransformerLM` supports two execution modes:
+:class:`TransformerLM` supports three execution modes:
 
 * ``forward_full`` — dense causal attention over a whole sequence (no KV
   cache policy involved); used for reference outputs in tests.
-* ``prefill`` / ``decode_step`` — the autoregressive path where each layer's
-  KV cache is owned by a :class:`~repro.core.policy.KVCachePolicy`, so the
-  same model can be evaluated under any pruning scheme.
+* ``prefill`` / ``decode_step`` — the serial autoregressive path where each
+  layer's KV cache is owned by a :class:`~repro.core.policy.KVCachePolicy`,
+  so the same model can be evaluated under any pruning scheme.  It is the
+  oracle the batched path is tested against.
+* ``prefill_chunk_batched`` / ``decode_steps_batched`` /
+  ``verify_steps_batched`` — the batched serving primitives: one packed
+  prefill chunk per in-flight prompt, one group-vectorized decode step per
+  active sequence, one speculative verify chunk per drafting sequence.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ class PrefillState:
     The dense accumulation is required for chunk-size invariance: pruning
     policies must see the *unpruned* prompt tensors at their final-chunk
     selection, so the state cannot be rebuilt from a policy's (possibly
-    pruned) pool pages.  Its footprint matches the one-shot path's captured
-    tensors (the ``[h, n, n]`` score block dominates either way).
+    pruned) pool pages.  Its footprint matches a whole-prompt prefill's
+    captured tensors (the ``[h, n, n]`` score block dominates either way).
 
     ``buffers``, when set (see :meth:`preallocate`), are full-prompt-sized
     per-layer ``(keys [N, h, d], values [N, h, d], scores [h, N, N])``
@@ -301,12 +306,13 @@ class TransformerLM:
         ``states[b]`` is its accumulated :class:`PrefillState` (``None``
         for the first chunk) and ``finals[b]`` marks the chunk that
         completes the prompt.  All chunks' tokens are embedded and pushed
-        through every layer as one packed ragged batch — the same packed
-        Q/K/V and output GEMMs as whole-prompt batched prefill, just over
-        the scheduled chunk rows only — while each sequence's chunk queries
-        attend against its own accumulated prior K/V.  Policies are fed
+        through every layer as one packed ragged batch — one packed Q/K/V
+        GEMM and one packed output GEMM over the scheduled chunk rows —
+        while each sequence's chunk queries attend against its own
+        accumulated prior K/V.  A whole-prompt prefill is one call with
+        ``states[b] = None`` and ``finals[b] = True``.  Policies are fed
         incrementally via ``prefill_extend`` (final-chunk semantics are
-        identical to one-shot prefill for every backend).
+        identical to the serial :meth:`prefill` for every backend).
 
         Returns ``(logits, new_states)``: ``logits[b]`` is the next-token
         distribution ``[vocab]`` for final chunks (``None`` otherwise — the
@@ -406,127 +412,6 @@ class TransformerLM:
                 logits[b] = final_logits[row]
         return logits, new_states
 
-    def prefill_batched(
-        self,
-        prompts: Sequence[Sequence[int]],
-        policies_per_sequence: Sequence[List[KVCachePolicy]],
-        prefixes: Optional[Sequence[Optional[List[tuple]]]] = None,
-        chunk_tokens: Optional[int] = None,
-    ) -> tuple:
-        """Padding-free batched prefill of ``B`` prompts at once.
-
-        A driver over :meth:`prefill_chunk_batched` iterations: the
-        prompts' (non-reused) tokens are processed in per-sequence chunks
-        of at most ``chunk_tokens`` ids — every iteration runs a single
-        packed Q/K/V GEMM (and one packed output GEMM) across all prompts'
-        scheduled rows, while the causal attention block of each sequence
-        is evaluated independently, so each sequence's policies receive
-        exactly the per-prompt keys, values and scaled raw scores the
-        serial :meth:`prefill` would feed them.  ``chunk_tokens=None``
-        (the default) processes every prompt in one iteration — the
-        classic whole-prompt batched prefill.  Generated tokens and policy
-        statistics are chunk-size-invariant (asserted across all policies
-        in the test suite); the serving engine's scheduler picks chunk
-        sizes dynamically instead of calling this driver.
-
-        ``prefixes[b]``, when given, is a per-layer list of
-        ``(keys [p, h, d], values [p, h, d], scores [h, p, p])`` tensors of
-        an already-prefilled prompt prefix (``p < len(prompts[b])``, see
-        :class:`repro.serving.prefix_cache.PrefixCache`); only the remaining
-        suffix tokens are embedded and pushed through the layers, which is
-        where the shared-prefix time-to-first-token savings come from.  An
-        optional fourth element per layer carries the prefix's shared pool
-        pages (:class:`~repro.core.kv_pool.SharedKVPages`) so paged
-        policies can adopt the stored rows zero-copy.
-
-        Returns ``(logits [B, vocab], captured)`` where ``captured[b]`` is
-        the per-layer list of full-prompt ``(keys, values, scores)`` tensors
-        (suitable for prefix-cache insertion).
-        """
-        batch = len(prompts)
-        if batch != len(policies_per_sequence):
-            raise ValueError(
-                "prompts and policies_per_sequence must agree on batch size"
-            )
-        if prefixes is None:
-            prefixes = [None] * batch
-        if len(prefixes) != batch:
-            raise ValueError("prefixes must match the batch size")
-        if chunk_tokens is not None and chunk_tokens < 1:
-            raise ValueError("chunk_tokens must be >= 1 (or None)")
-        if batch == 0:
-            return np.empty((0, self.config.vocab_size), dtype=np.float64), []
-        for policies in policies_per_sequence:
-            if len(policies) != self.config.num_layers:
-                raise ValueError("one policy per layer is required")
-
-        prompt_lists = [[int(t) for t in prompt] for prompt in prompts]
-        states: List[Optional[PrefillState]] = []
-        for prompt, prefix in zip(prompt_lists, prefixes):
-            if len(prompt) < 1:
-                raise ValueError("prompt must contain at least one token")
-            if prefix is not None:
-                if len(prefix) != self.config.num_layers:
-                    raise ValueError("one prefix state per layer is required")
-                p = int(prefix[0][0].shape[0])
-                if any(int(layer[0].shape[0]) != p for layer in prefix):
-                    raise ValueError("prefix layers disagree on prefix length")
-                if not 0 <= p < len(prompt):
-                    raise ValueError(
-                        "prefix must be strictly shorter than the prompt"
-                    )
-            suffix_len = len(prompt) - (p if prefix is not None else 0)
-            if chunk_tokens is not None and chunk_tokens < suffix_len:
-                # Multi-chunk prompt: preallocate in-place accumulation
-                # buffers so each chunk appends instead of re-copying the
-                # state (single-chunk prompts keep the copy-free one-shot
-                # layout).
-                states.append(
-                    PrefillState.preallocate(
-                        self.config.num_layers,
-                        len(prompt),
-                        self.config.num_heads,
-                        self.config.head_dim,
-                        prefix=prefix,
-                    )
-                )
-            elif prefix is not None:
-                states.append(PrefillState.from_prefix(prefix))
-            else:
-                states.append(None)
-
-        logits_out: List[Optional[np.ndarray]] = [None] * batch
-        while True:
-            indices = []
-            chunks = []
-            sub_states = []
-            sub_policies = []
-            sub_finals = []
-            for b, prompt in enumerate(prompt_lists):
-                done = 0 if states[b] is None else states[b].processed
-                if done >= len(prompt):
-                    continue
-                take = len(prompt) - done
-                if chunk_tokens is not None:
-                    take = min(take, chunk_tokens)
-                indices.append(b)
-                chunks.append(prompt[done : done + take])
-                sub_states.append(states[b])
-                sub_policies.append(policies_per_sequence[b])
-                sub_finals.append(done + take == len(prompt))
-            if not indices:
-                break
-            chunk_logits, new_states = self.prefill_chunk_batched(
-                chunks, sub_states, sub_policies, sub_finals
-            )
-            for row, b in enumerate(indices):
-                states[b] = new_states[row]
-                if chunk_logits[row] is not None:
-                    logits_out[b] = chunk_logits[row]
-
-        captured_per_sequence = [state.layers for state in states]
-        return np.stack(logits_out), captured_per_sequence
-
     def decode_step(
         self,
         token_id: int,
@@ -546,8 +431,6 @@ class TransformerLM:
         token_ids: Sequence[int],
         positions: Sequence[int],
         policies_per_sequence: Sequence[List[KVCachePolicy]],
-        groups: Optional[Sequence[Tuple[str, int, int]]] = None,
-        vectorize: bool = True,
         telemetry: Optional[GroupDecodeStats] = None,
     ) -> np.ndarray:
         """Decode one token for each of ``B`` *independent* sequences.
@@ -560,20 +443,16 @@ class TransformerLM:
         gathered through its block table over (possibly shared) pool pages
         — see :mod:`repro.core.kv_pool`.  Returns logits ``[B, vocab]``.
 
-        With ``vectorize`` (the default) this is a driver over *group
-        decode*: the batch is partitioned into policy-homogeneous spans —
-        ``groups`` as scheduled (the serving engine passes
-        :class:`~repro.serving.scheduler.ScheduleBatch` decode-group spans
-        ``(key, start, length)``), or contiguous same-policy runs when
-        ``None`` — and each span's selector/eviction/attention math runs
-        as **one** vectorized
-        :meth:`~repro.core.policy.KVCachePolicy.decode_step_group` call
-        per layer instead of ``S`` per-sequence ``decode_step`` calls.
+        The batch is partitioned into policy-homogeneous spans
+        ``(key, start, length)`` — contiguous same-policy runs, see
+        :func:`~repro.core.group_decode.group_spans_for`; the serving
+        scheduler orders its decode slots so these are its decode groups —
+        and each span's selector/eviction/attention math runs as **one**
+        vectorized :meth:`~repro.core.policy.KVCachePolicy.decode_step_group`
+        call per layer instead of ``S`` per-sequence ``decode_step`` calls.
         Policies without a vectorized override (and singleton spans) fall
-        back to the per-sequence loop; dispatch counts accumulate in
-        ``telemetry``.  ``vectorize=False`` forces the per-sequence loop
-        everywhere — the reference the group path is benchmarked and
-        equivalence-tested against.
+        back to per-sequence ``decode_step`` calls; dispatch counts
+        accumulate in ``telemetry``.
 
         A batch of one is routed through :meth:`decode_step` so that
         single-sequence generation is bit-for-bit the serial path.
@@ -594,17 +473,11 @@ class TransformerLM:
                 int(token_ids[0]), int(positions[0]), policies_per_sequence[0]
             )
             return logits[None, :]
-        if vectorize and groups is None:
-            groups = group_spans_for(policies_per_sequence)
+        spans = group_spans_for(policies_per_sequence)
         x = self.embed(token_ids, positions)  # [B, model_dim]
         for layer, block in enumerate(self.blocks):
             layer_policies = [p[layer] for p in policies_per_sequence]
-            if vectorize:
-                x = block.decode_group(
-                    x, positions, layer_policies, groups, telemetry
-                )
-            else:
-                x = block.decode_batched(x, positions, layer_policies)
+            x = block.decode_group(x, positions, layer_policies, spans, telemetry)
         return self.logits_from_hidden(x)
 
     def verify_steps_batched(

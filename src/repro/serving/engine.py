@@ -35,9 +35,9 @@ engine's :meth:`~BatchedEngine.step` is a thin execution loop around
   layer (see :mod:`repro.core.group_decode`) — per-step dispatch is
   O(policy groups), not O(batch); cumulative ``group_calls`` /
   ``fallback_calls`` / ``vectorized_sequences`` counters land in
-  ``stats()["scheduler"]``, and
-  ``SchedulerPolicy(vectorized_decode=False)`` restores the per-sequence
-  loop.  A sequence that exhausts its token budget is retired *without*
+  ``stats()["scheduler"]``.  Generated tokens and ``PolicyStats`` match
+  the serial :func:`~repro.llm.generation.greedy_generate_serial` oracle.
+  A sequence that exhausts its token budget is retired *without*
   feeding its final token through the model — those logits would be
   discarded.
 * **Speculative decode** — with a
@@ -149,7 +149,6 @@ from typing import (
 
 import numpy as np
 
-from ..core.group_decode import group_spans_for
 from ..core.kv_pool import KVPoolGroup, PoolExhaustedError
 from ..core.policy import KVCachePolicy, PolicyStats
 from .prefix_cache import PrefixCache
@@ -805,18 +804,14 @@ class BatchedEngine:
                 seq.request.policy_factory or self.policy_factory,
                 kv_pools=self.kv_pools,
             )
-            logits, captured = self.model.prefill_batched(
-                [seq.prompt], [seq.policies]
+            logits, states = self.model.prefill_chunk_batched(
+                [seq.prompt], [None], [seq.policies], [True]
             )
         except Exception as exc:
             self._abort_prefilling(seq, finished, exc)
             return
+        seq.state = states[0]
         seq.done = len(seq.prompt)
-        from ..llm.model import PrefillState  # local: avoids an import cycle
-
-        seq.state = PrefillState(
-            layers=captured[0], processed=len(seq.prompt), fed=len(seq.prompt)
-        )
         self._complete_prefill(seq, logits[0], finished)
 
     def _complete_prefill(
@@ -1120,10 +1115,8 @@ class BatchedEngine:
                 )
             if plain:
                 # Stop/length/page/speculation filtering preserves the
-                # policy-grouped slot order, so contiguous same-policy runs
-                # over ``plain`` are exactly the executed group spans.
-                vectorized = self.scheduler.policy.vectorized_decode
-                policy_stacks = [slot.policies for slot in plain]
+                # policy-grouped slot order, so the model's contiguous
+                # same-policy runs over ``plain`` are the scheduled groups.
                 logits_batch = self.model.decode_steps_batched(
                     [
                         slot.replay.popleft() if slot.replay
@@ -1131,11 +1124,7 @@ class BatchedEngine:
                         for slot in plain
                     ],
                     [slot.position for slot in plain],
-                    policy_stacks,
-                    groups=(
-                        group_spans_for(policy_stacks) if vectorized else None
-                    ),
-                    vectorize=vectorized,
+                    [slot.policies for slot in plain],
                     telemetry=self.scheduler.group_decode,
                 )
                 for row, slot in enumerate(plain):

@@ -122,17 +122,6 @@ class SchedulerPolicy:
         Floor on prefill progress when active decodes fill (or exceed) the
         budget, so a saturated decode batch cannot starve prefill forever.
         Ignored when nothing is prefilling.
-    group_by_policy:
-        Order decode slots so same-policy sequences are contiguous and
-        record the group spans in telemetry (stable: submission order is
-        kept within a group).
-    vectorized_decode:
-        Execute each policy-group span's selector/eviction/attention math
-        as one batched ``decode_step_group`` call per layer (see
-        :mod:`repro.core.group_decode`) instead of per-sequence
-        ``decode_step`` loops.  ``False`` forces the per-sequence loop —
-        the reference path the group-vectorized decode is benchmarked and
-        equivalence-tested against.
     preemption:
         Page pressure during decode preempts a victim (pages released,
         sequence parked and later resumed token-identically) instead of
@@ -159,8 +148,6 @@ class SchedulerPolicy:
 
     max_tokens_per_step: Optional[int] = None
     min_prefill_tokens_per_step: int = 1
-    group_by_policy: bool = True
-    vectorized_decode: bool = True
     preemption: bool = True
     victim: str = "recency"
     admission: str = "reserve"
@@ -900,29 +887,27 @@ class Scheduler:
         """Active slots in decode order plus their policy-group spans.
 
         Called by the engine after this step's prefill chunks ran, so
-        newly promoted sequences are included.  With ``group_by_policy``
-        the slots are stably ordered so sequences with the same
-        :func:`policy_group_key` are contiguous; the spans
-        ``(key, start, length)`` are recorded in telemetry and are what
-        the engine hands to the model as the group-vectorized decode
-        spans.  When ``batch`` is given its ``decode``/``decode_groups``
-        are filled in, making the batch the record of what actually
-        executed.
+        newly promoted sequences are included.  The slots are stably
+        ordered (submission order kept within a group) so sequences with
+        the same :func:`policy_group_key` are contiguous; the spans
+        ``(key, start, length)`` are recorded in telemetry and are the
+        contiguous runs the model's group-vectorized decode executes.
+        When ``batch`` is given its ``decode``/``decode_groups`` are filled
+        in, making the batch the record of what actually executed.
         """
         slots = list(self._active)
         spans: List[Tuple[str, int, int]] = []
-        if self.policy.group_by_policy:
-            if len(slots) > 1:
-                slots.sort(key=lambda slot: policy_group_key(slot.policies))
-            for i, slot in enumerate(slots):
-                key = policy_group_key(slot.policies)
-                if not spans or spans[-1][0] != key:
-                    spans.append((key, i, 1))
-                else:
-                    name, begin, length = spans[-1]
-                    spans[-1] = (name, begin, length + 1)
-            if len(spans) > 1:
-                self._grouped_decode_steps += 1
+        if len(slots) > 1:
+            slots.sort(key=lambda slot: policy_group_key(slot.policies))
+        for i, slot in enumerate(slots):
+            key = policy_group_key(slot.policies)
+            if not spans or spans[-1][0] != key:
+                spans.append((key, i, 1))
+            else:
+                name, begin, length = spans[-1]
+                spans[-1] = (name, begin, length + 1)
+        if len(spans) > 1:
+            self._grouped_decode_steps += 1
         self._last_decode_groups = spans
         if batch is not None:
             batch.decode = slots

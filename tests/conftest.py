@@ -2,8 +2,30 @@
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
+
 import numpy as np
 import pytest
+
+SHM_SEGMENTS = "/dev/shm/repro-*"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_process_outlives_its_module(request):
+    """Fail the module that leaves a child process or a shared-memory arena
+    segment behind.  Segments are compared against a snapshot taken when
+    the module starts, so arenas of other processes cannot trip it."""
+    segments_before = set(glob.glob(SHM_SEGMENTS))
+    yield
+    children = multiprocessing.active_children()
+    leaked = sorted(set(glob.glob(SHM_SEGMENTS)) - segments_before)
+    assert not children, (
+        f"{request.module.__name__} left child processes running: {children}"
+    )
+    assert not leaked, (
+        f"{request.module.__name__} left shared-memory segments: {leaked}"
+    )
 
 
 @pytest.fixture

@@ -4,9 +4,8 @@ Acceptance properties of the scheduler subsystem:
 
 * **Chunk-size invariance** — generated tokens and ``PolicyStats`` are
   identical to one-shot prefill for every policy flavour, chunk size and
-  batch size, on both the dense and the paged engine.  The chunk boundary
-  only changes *when* compute happens, never what a policy stores or
-  selects.
+  batch size.  The chunk boundary only changes *when* compute happens,
+  never what a policy stores or selects.
 * **No head-of-line blocking** — while a long prompt is absorbed chunk by
   chunk, every active decode sequence emits one token per step between
   consecutive chunks.
@@ -25,7 +24,7 @@ import pytest
 from repro.core.kv_pool import KVPoolGroup, PagedKVPool, PagedKVStore
 from repro.eval.harness import POLICY_NAMES, build_policy_factory
 from repro.llm.config import ModelConfig
-from repro.llm.model import TransformerLM
+from repro.llm.model import PrefillState, TransformerLM
 from repro.serving import BatchedEngine, SchedulerPolicy, ServingRequest
 
 VOCAB = 89
@@ -102,8 +101,45 @@ def assert_stats_identical(want, got):
             )
 
 
+def prefill_in_chunks(model, prompts, policies, chunk_tokens):
+    """Drive ``prefill_chunk_batched`` over every prompt, ``chunk_tokens``
+    ids per sequence per iteration; returns the final logits per prompt.
+    Multi-chunk prompts accumulate in preallocated in-place buffers, as
+    the serving scheduler's do."""
+    config = model.config
+    states = [
+        PrefillState.preallocate(
+            config.num_layers, len(prompt), config.num_heads, config.head_dim
+        )
+        if chunk_tokens < len(prompt) else None
+        for prompt in prompts
+    ]
+    logits = [None] * len(prompts)
+    while True:
+        active = [
+            b for b, prompt in enumerate(prompts)
+            if states[b] is None or states[b].processed < len(prompt)
+        ]
+        if not active:
+            return np.stack(logits)
+        chunks, finals = [], []
+        for b in active:
+            done = 0 if states[b] is None else states[b].processed
+            end = min(done + chunk_tokens, len(prompts[b]))
+            chunks.append(prompts[b][done:end])
+            finals.append(end == len(prompts[b]))
+        step_logits, step_states = model.prefill_chunk_batched(
+            chunks, [states[b] for b in active],
+            [policies[b] for b in active], finals,
+        )
+        for row, b in enumerate(active):
+            states[b] = step_states[row]
+            if step_logits[row] is not None:
+                logits[b] = step_logits[row]
+
+
 class TestModelLevelChunkInvariance:
-    """``prefill_batched(chunk_tokens=...)`` is chunk-size invariant."""
+    """Looping ``prefill_chunk_batched`` is chunk-size invariant."""
 
     # One page, an odd non-divisor of every prompt length, >= prompt length.
     @pytest.mark.parametrize("chunk_tokens", [PAGE, 5, 64])
@@ -116,11 +152,9 @@ class TestModelLevelChunkInvariance:
             policy_name, prompt_length=len(prompts[0]), cache_ratio=0.6
         )
         ref_policies = [model.make_policies(factory) for _ in prompts]
-        ref_logits, _ = model.prefill_batched(prompts, ref_policies)
+        ref_logits = prefill_in_chunks(model, prompts, ref_policies, 10**6)
         policies = [model.make_policies(factory) for _ in prompts]
-        logits, _ = model.prefill_batched(
-            prompts, policies, chunk_tokens=chunk_tokens
-        )
+        logits = prefill_in_chunks(model, prompts, policies, chunk_tokens)
         np.testing.assert_allclose(logits, ref_logits, rtol=1e-10, atol=1e-10)
         for b in range(len(prompts)):
             for layer in range(LAYERS):
@@ -131,19 +165,10 @@ class TestModelLevelChunkInvariance:
                 )
                 assert_stats_identical(want.stats, got.stats)
 
-    def test_chunk_tokens_validation(self, model, shared_prefix_prompts):
-        with pytest.raises(ValueError):
-            model.prefill_batched(
-                shared_prefix_prompts[:1],
-                [model.make_policies(None)],
-                chunk_tokens=0,
-            )
-
 
 class TestEngineChunkInvariance:
     """The acceptance matrix: tokens and PolicyStats identical to one-shot
-    prefill for all policies x chunk budgets x batch sizes, dense and
-    paged."""
+    prefill for all policies x chunk budgets x batch sizes."""
 
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
     @pytest.mark.parametrize("batch_size", [1, 4, 16])
@@ -161,25 +186,23 @@ class TestEngineChunkInvariance:
         # One-page chunks, an odd non-divisor budget, and a budget larger
         # than any prompt (single chunk, but through the scheduler path).
         for budget in (PAGE, 5, 1000):
-            for kv_pools in (None, make_pools()):
-                engine, chunked = run_engine(
-                    model, shared_prefix_prompts,
-                    batch_size=batch_size, policy_factory=factory,
-                    max_tokens_per_step=budget, kv_pools=kv_pools,
-                )
-                for want, got in zip(reference, chunked):
-                    assert got.finish_reason == want.finish_reason != "error"
-                    assert got.token_ids == want.token_ids
-                    assert len(got.policy_stats) == LAYERS
-                    for ws, gs in zip(want.policy_stats, got.policy_stats):
-                        assert_stats_identical(ws, gs)
-                if kv_pools is not None:
-                    stats = engine.stats()
-                    assert stats["kv_pool"]["reserved_pages"] == 0
-                    assert (
-                        stats["kv_pool"]["pages_in_use"]
-                        == stats["prefix_cache"]["pages_held"]
-                    )
+            engine, chunked = run_engine(
+                model, shared_prefix_prompts,
+                batch_size=batch_size, policy_factory=factory,
+                max_tokens_per_step=budget, kv_pools=make_pools(),
+            )
+            for want, got in zip(reference, chunked):
+                assert got.finish_reason == want.finish_reason != "error"
+                assert got.token_ids == want.token_ids
+                assert len(got.policy_stats) == LAYERS
+                for ws, gs in zip(want.policy_stats, got.policy_stats):
+                    assert_stats_identical(ws, gs)
+            stats = engine.stats()
+            assert stats["kv_pool"]["reserved_pages"] == 0
+            assert (
+                stats["kv_pool"]["pages_in_use"]
+                == stats["prefix_cache"]["pages_held"]
+            )
 
     def test_small_budget_chunks_long_prompts(self, model):
         rng = np.random.default_rng(3)
@@ -380,18 +403,6 @@ class TestPolicyHomogeneousGrouping:
         responses = engine.run()
         assert all(r.finish_reason == "length" for r in responses)
         assert engine.stats()["scheduler"]["grouped_decode_steps"] >= 1
-
-    def test_grouping_can_be_disabled(self, model):
-        rng = np.random.default_rng(13)
-        prompts = [list(map(int, rng.integers(0, VOCAB, size=10))) for _ in range(4)]
-        engine = BatchedEngine(
-            model, max_batch_size=4, prefix_caching=False,
-            scheduler_policy=SchedulerPolicy(group_by_policy=False),
-        )
-        for prompt in prompts:
-            engine.submit(ServingRequest(prompt_ids=prompt, max_new_tokens=4))
-        engine.step()
-        assert engine.stats()["scheduler"]["decode_groups"] == []
 
 
 class TestSchedulerKnobValidation:

@@ -1,21 +1,22 @@
 """Group-vectorized decode: one batched call per policy group, same results.
 
-Acceptance properties of the group-decode refactor:
+Acceptance properties of group decode:
 
-* **Grouped/per-sequence equivalence** — generated tokens and
-  ``PolicyStats`` are identical whether each policy-group span executes as
-  one vectorized ``decode_step_group`` call or as per-sequence
-  ``decode_step`` loops, for every policy flavour, batch size and storage
-  layout (dense and paged), including mixed-policy batches that force
-  multi-group steps.
+* **Serial equivalence** — generated tokens and ``PolicyStats`` of an
+  engine whose policy-group spans each execute as one vectorized
+  ``decode_step_group`` call are identical to the serial
+  :func:`greedy_generate_serial` oracle (one ``decode_step`` per sequence
+  per layer) for every policy flavour and batch size, including
+  mixed-policy batches that force multi-group steps.
 * **Safe fallback** — a policy subclass without a vectorized override (or
   one that re-overrides ``decode_step`` below the override) is routed
-  through the per-sequence loop, so external subclasses keep working.
+  through per-sequence ``decode_step`` calls, so external subclasses keep
+  working.
 * **Select, then attend** — the selection policies (UniCAIM exact and
   CAM, Quest) read V only for the rows they select; with ragged
   per-member picks (caches straddling ``top_k``, quantised-score ties,
-  per-member Quest pages) on dense storage and on an int8 arena they stay
-  token- and ``PolicyStats``-identical to the per-sequence loop.
+  per-member Quest pages) on an fp64 and an int8 arena they stay token-
+  and ``PolicyStats``-identical to serial decode over the same storage.
 * **Durable telemetry** — ``stats()["scheduler"]`` reports *cumulative*
   ``group_calls`` / ``fallback_calls`` / ``vectorized_sequences`` counters
   that survive across steps (unlike ``decode_groups``, which only shows
@@ -44,8 +45,9 @@ from repro.core.kv_pool import (
 from repro.core.policy import FullCachePolicy
 from repro.eval.harness import POLICY_NAMES, build_policy_factory
 from repro.llm.config import ModelConfig
+from repro.llm.generation import greedy_generate_serial
 from repro.llm.model import TransformerLM
-from repro.serving import BatchedEngine, SchedulerPolicy, ServingRequest
+from repro.serving import BatchedEngine, ServingRequest
 
 VOCAB = 89
 HEADS, HEAD_DIM, LAYERS = 2, 8, 2
@@ -84,19 +86,22 @@ def make_pools(num_pages=600, page_size=8, codec=None):
     )
 
 
-def run_engine(model, prompts, *, vectorized, batch_size=4, paged=False,
-               policy_factory=None, per_request_factories=None, codec=None):
+def request_factory(i, per_request_factories):
+    if per_request_factories is None:
+        return None
+    return per_request_factories[i % len(per_request_factories)]
+
+
+def run_engine(model, prompts, *, batch_size=4, policy_factory=None,
+               per_request_factories=None, codec=None):
     engine = BatchedEngine(
         model,
         policy_factory=policy_factory,
         max_batch_size=batch_size,
-        kv_pools=make_pools(codec=codec) if paged else None,
-        scheduler_policy=SchedulerPolicy(vectorized_decode=vectorized),
+        kv_pools=make_pools(codec=codec),
     )
     for i, prompt in enumerate(prompts):
-        factory = None
-        if per_request_factories is not None:
-            factory = per_request_factories[i % len(per_request_factories)]
+        factory = request_factory(i, per_request_factories)
         engine.submit(
             ServingRequest(
                 prompt_ids=prompt,
@@ -107,7 +112,23 @@ def run_engine(model, prompts, *, vectorized, batch_size=4, paged=False,
     return engine, engine.run()
 
 
+def serial_reference(model, prompts, *, policy_factory=None,
+                     per_request_factories=None):
+    """The serial oracle: one ``decode_step`` per sequence per layer."""
+    return [
+        greedy_generate_serial(
+            model, prompt, MAX_NEW,
+            policy_factory=(
+                request_factory(i, per_request_factories) or policy_factory
+            ),
+        )
+        for i, prompt in enumerate(prompts)
+    ]
+
+
 def assert_stats_identical(want, got):
+    """Every ``PolicyStats`` field except ``prefill_reused_tokens`` (the
+    serial oracle has no prefix cache)."""
     assert want.prefill_tokens == got.prefill_tokens
     assert want.retained_after_prefill == got.retained_after_prefill
     assert want.decode_steps == got.decode_steps
@@ -129,8 +150,8 @@ def assert_stats_identical(want, got):
 
 
 def assert_responses_identical(reference, grouped):
-    for ref, got in zip(reference, grouped):
-        assert ref.finish_reason == got.finish_reason != "error"
+    for ref, got in zip(reference, grouped, strict=True):
+        assert got.finish_reason != "error"
         assert ref.token_ids == got.token_ids
         assert len(ref.policy_stats) == len(got.policy_stats) == LAYERS
         for a, b in zip(ref.policy_stats, got.policy_stats):
@@ -139,25 +160,19 @@ def assert_responses_identical(reference, grouped):
 
 class TestGroupedDecodeEquivalence:
     """The acceptance matrix: grouped decode is token- and stats-identical
-    to the per-sequence loop for all 7 policies x batch sizes x dense and
-    paged storage."""
+    to the serial oracle for all 7 policies x batch sizes."""
 
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
     @pytest.mark.parametrize("batch_size", [1, 4, 16])
-    @pytest.mark.parametrize("paged", [False, True], ids=["dense", "paged"])
     def test_tokens_and_stats_identical(
-        self, model, prompts, policy_name, batch_size, paged
+        self, model, prompts, policy_name, batch_size
     ):
         factory = build_policy_factory(
             policy_name, prompt_length=len(prompts[0]), cache_ratio=0.6
         )
-        _, reference = run_engine(
-            model, prompts, vectorized=False,
-            batch_size=batch_size, paged=paged, policy_factory=factory,
-        )
+        reference = serial_reference(model, prompts, policy_factory=factory)
         engine, grouped = run_engine(
-            model, prompts, vectorized=True,
-            batch_size=batch_size, paged=paged, policy_factory=factory,
+            model, prompts, batch_size=batch_size, policy_factory=factory,
         )
         assert_responses_identical(reference, grouped)
         scheduler = engine.stats()["scheduler"]
@@ -169,14 +184,6 @@ class TestGroupedDecodeEquivalence:
         else:
             # A batch of one rides the bit-exact serial path.
             assert scheduler["group_calls"] == 0
-
-    def test_per_sequence_reference_never_vectorizes(self, model, prompts):
-        engine, _ = run_engine(
-            model, prompts, vectorized=False, batch_size=8
-        )
-        scheduler = engine.stats()["scheduler"]
-        assert scheduler["group_calls"] == 0
-        assert scheduler["vectorized_sequences"] == 0
 
 
 #: Selection-policy flavours whose members pick ragged row sets: prompts
@@ -209,28 +216,28 @@ class TestSelectThenAttend:
 
     @pytest.mark.parametrize("flavour", sorted(SELECTION_FACTORIES))
     @pytest.mark.parametrize(
-        "storage", ["dense", "int8"], ids=["dense", "int8-arena"]
+        "codec", ["fp64", "int8"], ids=["fp64", "int8-arena"]
     )
     def test_ragged_selection_identical_to_per_sequence(
-        self, model, prompts, flavour, storage
+        self, model, prompts, flavour, codec
     ):
-        kwargs = dict(
-            batch_size=8,
-            paged=storage == "int8",
-            codec="int8" if storage == "int8" else None,
-            policy_factory=SELECTION_FACTORIES[flavour],
-        )
-        _, reference = run_engine(model, prompts, vectorized=False, **kwargs)
-        engine, grouped = run_engine(model, prompts, vectorized=True, **kwargs)
+        factory = SELECTION_FACTORIES[flavour]
+        kwargs = dict(codec=codec, policy_factory=factory)
+        if codec == "fp64":
+            reference = serial_reference(model, prompts, policy_factory=factory)
+        else:
+            # The serial oracle stores fp64 rows.  On an int8 arena the
+            # reference is the engine at batch one, whose decode is the
+            # per-sequence ``decode_step`` over the same quantised rows.
+            _, reference = run_engine(model, prompts, batch_size=1, **kwargs)
+        engine, grouped = run_engine(model, prompts, batch_size=8, **kwargs)
         assert_responses_identical(reference, grouped)
         assert engine.stats()["scheduler"]["group_calls"] > 0
         # K padding is still read (ragged cache sizes): poisoned, it must
         # not leak into a selection or an output.
         old = set_poison_padding(True)
         try:
-            _, poisoned = run_engine(
-                model, prompts, vectorized=True, **kwargs
-            )
+            _, poisoned = run_engine(model, prompts, batch_size=8, **kwargs)
         finally:
             set_poison_padding(old)
         assert_responses_identical(reference, poisoned)
@@ -287,17 +294,12 @@ class TestMixedPolicyBatches:
             for name in POLICY_NAMES
         ]
 
-    @pytest.mark.parametrize("paged", [False, True], ids=["dense", "paged"])
-    def test_tokens_and_stats_identical(
-        self, model, prompts, factories, paged
-    ):
-        _, reference = run_engine(
-            model, prompts, vectorized=False, batch_size=16, paged=paged,
-            per_request_factories=factories,
+    def test_tokens_and_stats_identical(self, model, prompts, factories):
+        reference = serial_reference(
+            model, prompts, per_request_factories=factories
         )
         engine, grouped = run_engine(
-            model, prompts, vectorized=True, batch_size=16, paged=paged,
-            per_request_factories=factories,
+            model, prompts, batch_size=16, per_request_factories=factories,
         )
         assert_responses_identical(reference, grouped)
         scheduler = engine.stats()["scheduler"]
@@ -341,15 +343,10 @@ class TestFallback:
         OverriddenStepPolicy.step_calls = 0
         factory = lambda heads, dim: OverriddenStepPolicy(heads, dim)  # noqa: E731
         engine, responses = run_engine(
-            model, prompts, vectorized=True, batch_size=8,
-            policy_factory=factory,
+            model, prompts, batch_size=8, policy_factory=factory,
         )
-        _, reference = run_engine(
-            model, prompts, vectorized=False, batch_size=8,
-        )
-        # Same generation as the plain full-cache policy...
-        for ref, got in zip(reference, responses):
-            assert ref.token_ids == got.token_ids
+        # Same generation as the serial full-cache oracle...
+        assert_responses_identical(serial_reference(model, prompts), responses)
         # ...but served entirely through the subclass's own decode_step
         # (batch-1 tails ride the serial path, which telemetry skips).
         scheduler = engine.stats()["scheduler"]
@@ -363,7 +360,7 @@ class TestFallback:
     def test_mixed_selector_scales_in_one_group(self):
         """Regression: a span mixing exact selectors with and without a
         private scale shares one group key and must vectorize without
-        crashing, matching the per-sequence loop member for member."""
+        crashing, matching per-member ``decode_step`` calls."""
         from repro.core.config import PruningConfig
         from repro.core.dynamic_pruning import ExactTopKSelector
         from repro.core.hybrid import UniCAIMPolicy
@@ -477,21 +474,17 @@ class TestPoisonedPaddingGroupDecode:
         ["full", "snapkv", "streaming_llm", "h2o", "quest", "unicaim",
          "unicaim_cam"],
     )
-    def test_vectorized_decode_identical_under_poison(
+    def test_group_decode_identical_under_poison(
         self, model, prompts, policy_name
     ):
         factory = build_policy_factory(
             policy_name, prompt_length=len(prompts[0]), cache_ratio=0.6
         )
-        _, reference = run_engine(
-            model, prompts, vectorized=True, batch_size=8, paged=True,
-            policy_factory=factory,
-        )
+        reference = serial_reference(model, prompts, policy_factory=factory)
         old = set_poison_padding(True)
         try:
             _, poisoned = run_engine(
-                model, prompts, vectorized=True, batch_size=8, paged=True,
-                policy_factory=factory,
+                model, prompts, batch_size=8, policy_factory=factory,
             )
         finally:
             set_poison_padding(old)

@@ -6,9 +6,9 @@ later resumes it through the chunked-prefill path — either by
 re-prefilling prompt+generated when every layer policy certifies
 ``exact_resume_by_reprefill``, or by replaying the generated tokens
 through decode.  Both must reproduce the uninterrupted run's tokens and
-``PolicyStats`` exactly, for every policy, dense and paged, at every
-batch size.  A preemption storm under optimistic admission must complete
-every request with zero errors.
+``PolicyStats`` exactly, for every policy at every batch size.  A
+preemption storm under optimistic admission must complete every request
+with zero errors.
 """
 
 import types
@@ -141,10 +141,9 @@ def assert_responses_equivalent(reference, resumed):
 
 class TestPreemptResumeEquivalence:
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
-    @pytest.mark.parametrize("paged", [False, True], ids=["dense", "paged"])
     @pytest.mark.parametrize("batch_size", [1, 4, 16])
     def test_forced_preemption_is_invisible(
-        self, model, shared_prefix_prompts, policy_name, paged, batch_size
+        self, model, shared_prefix_prompts, policy_name, batch_size
     ):
         factory = build_policy_factory(
             policy_name, prompt_length=len(shared_prefix_prompts[0]),
@@ -152,12 +151,12 @@ class TestPreemptResumeEquivalence:
         )
         reference = make_engine(
             model, shared_prefix_prompts,
-            kv_pools=make_pools() if paged else None,
+            kv_pools=make_pools(),
             batch_size=batch_size, policy_factory=factory,
         ).run()
         engine = make_engine(
             model, shared_prefix_prompts,
-            kv_pools=make_pools() if paged else None,
+            kv_pools=make_pools(),
             batch_size=batch_size, policy_factory=factory,
         )
         resumed = run_with_forced_preemptions(engine)

@@ -1,7 +1,7 @@
 """Tests for batched padding-free prefill and shared-prefix KV reuse.
 
 The acceptance property of the prefill subsystem: admission through
-``prefill_batched`` — with or without prefix-cache reuse — must produce
+``prefill_chunk_batched`` — with or without prefix-cache reuse — must produce
 byte-identical generated tokens and identical policy statistics
 (``retained_after_prefill``, eviction counts, decode steps) to the strictly
 serial cold-prefill reference, for every policy flavour and batch size.
@@ -22,7 +22,7 @@ from repro.core.hybrid import UniCAIMPolicy
 from repro.core.kv_pool import KVPoolGroup
 from repro.llm.config import ModelConfig
 from repro.llm.generation import greedy_generate_serial
-from repro.llm.model import TransformerLM
+from repro.llm.model import PrefillState, TransformerLM
 from repro.serving import BatchedEngine, PrefixCache, ServingRequest
 from repro.serving.prefix_cache import common_prefix_length
 
@@ -127,34 +127,49 @@ def assert_stats_match(batched_stats, serial_stats):
         assert got.decode_steps == want.decode_steps
 
 
-class TestPrefillBatched:
+def prefill_whole(model, prompts, policies, states=None):
+    """Every prompt (or its suffix after ``states``) as one final chunk."""
+    if states is None:
+        states = [None] * len(prompts)
+    chunks = [
+        prompt[0 if state is None else state.processed:]
+        for prompt, state in zip(prompts, states)
+    ]
+    return model.prefill_chunk_batched(
+        chunks, states, policies, [True] * len(prompts)
+    )
+
+
+class TestPrefillChunkBatched:
     def test_matches_serial_prefill_logits(self, model, shared_prefix_prompts):
         prompts = shared_prefix_prompts[:4]
         policies = [model.make_policies(None) for _ in prompts]
-        logits, captured = model.prefill_batched(prompts, policies)
-        assert logits.shape == (len(prompts), VOCAB)
+        logits, states = prefill_whole(model, prompts, policies)
         for b, prompt in enumerate(prompts):
+            assert logits[b].shape == (VOCAB,)
             serial_policies = model.make_policies(None)
             serial_logits = model.prefill(prompt, serial_policies)
             np.testing.assert_allclose(logits[b], serial_logits, rtol=1e-12, atol=1e-12)
             assert int(np.argmax(logits[b])) == int(np.argmax(serial_logits))
-            assert len(captured[b]) == model.config.num_layers
-            keys, values, scores = captured[b][0]
+            assert states[b].processed == states[b].fed == len(prompt)
+            assert len(states[b].layers) == model.config.num_layers
+            keys, values, scores = states[b].layers[0]
             n = len(prompt)
             assert keys.shape == values.shape == (n, 2, 16)
             assert scores.shape == (2, n, n)
 
     def test_reused_prefix_matches_cold_prefill(self, model, shared_prefix_prompts):
         leader, follower = shared_prefix_prompts[0], shared_prefix_prompts[1]
-        _, captured = model.prefill_batched([leader], [model.make_policies(None)])
+        _, states = prefill_whole(model, [leader], [model.make_policies(None)])
         p = common_prefix_length(leader, follower)
         prefix_layers = [
             (keys[:p], values[:p], scores[:, :p, :p])
-            for keys, values, scores in captured[0]
+            for keys, values, scores in states[0].layers
         ]
         warm_policies = model.make_policies(None)
-        warm_logits, _ = model.prefill_batched(
-            [follower], [warm_policies], [prefix_layers]
+        warm_logits, _ = prefill_whole(
+            model, [follower], [warm_policies],
+            [PrefillState.from_prefix(prefix_layers)],
         )
         cold_policies = model.make_policies(None)
         cold_logits = model.prefill(follower, cold_policies)
@@ -168,16 +183,16 @@ class TestPrefillBatched:
 
     def test_prefix_must_be_shorter_than_prompt(self, model, shared_prefix_prompts):
         prompt = shared_prefix_prompts[0]
-        _, captured = model.prefill_batched([prompt], [model.make_policies(None)])
+        _, states = prefill_whole(model, [prompt], [model.make_policies(None)])
+        config = model.config
         with pytest.raises(ValueError):
-            model.prefill_batched(
-                [prompt], [model.make_policies(None)], [captured[0]]
+            PrefillState.preallocate(
+                config.num_layers, len(prompt), config.num_heads,
+                config.head_dim, prefix=states[0].layers,
             )
 
     def test_empty_batch(self, model):
-        logits, captured = model.prefill_batched([], [])
-        assert logits.shape == (0, VOCAB)
-        assert captured == []
+        assert model.prefill_chunk_batched([], [], [], []) == ([], [])
 
 
 class TestSharedPrefixServingEquivalence:
@@ -336,12 +351,12 @@ class TestPrefixCacheUnit:
         prefill's buffers; K/V rows live in pool pages."""
         cache = PrefixCache(model_pools(model), min_prefix_tokens=2)
         prompts = [[1, 2, 3, 4, 5], [6, 7, 8, 9]]
-        _, captured = model.prefill_batched(
-            prompts, [model.make_policies(None) for _ in prompts]
+        _, states = prefill_whole(
+            model, prompts, [model.make_policies(None) for _ in prompts]
         )
-        cache.insert(prompts[0], captured[0])
+        cache.insert(prompts[0], states[0].layers)
         entry = cache._entries[tuple(prompts[0])]
-        for cached, (keys, values, _) in zip(entry, captured[0]):
+        for cached, (keys, values, _) in zip(entry, states[0].layers):
             assert cached.scores.base is None
             paged_keys, paged_values = cached.pages.materialize()
             np.testing.assert_array_equal(paged_keys, keys)

@@ -281,6 +281,75 @@ class TestAdmissionFailureConsistency:
         rid = engine.submit(ServingRequest(prompt_ids=prompts[3], max_new_tokens=2))
         assert engine.run()[-1].request_id == rid
 
+    @pytest.mark.parametrize("budget", [None, 4], ids=["whole-prompt", "chunked"])
+    def test_failed_packed_prefill_restarts_each_member_alone(
+        self, model, prompts, budget, monkeypatch
+    ):
+        """A policy raising inside a packed prefill pass fails only its own
+        request: every member of the pass is re-prefilled alone, the
+        healthy ones match the serial oracle and no page leaks.  At a
+        4-token budget the 5-, 2- and 7-token prompts meet in the second
+        step's pass (the first prompt's last token, the whole offender and
+        the third prompt's first token)."""
+        engine = BatchedEngine(model, max_batch_size=4, max_tokens_per_step=budget)
+        restarted = []
+        restart = engine._restart_prefill_alone
+
+        def spy(seq, finished):
+            restarted.append(seq.request.request_id)
+            restart(seq, finished)
+
+        monkeypatch.setattr(engine, "_restart_prefill_alone", spy)
+        first = engine.submit(
+            ServingRequest(prompt_ids=prompts[0][:5], max_new_tokens=5)
+        )
+        bad = engine.submit(
+            ServingRequest(
+                prompt_ids=prompts[1][:2], max_new_tokens=5,
+                policy_factory=lambda heads, dim: FailingPrefillPolicy(heads, dim),
+            )
+        )
+        third = engine.submit(
+            ServingRequest(prompt_ids=prompts[2], max_new_tokens=5)
+        )
+        healthy = {first: prompts[0][:5], third: prompts[2]}
+        responses = {r.request_id: r for r in engine.run()}
+        assert sorted(restarted) == sorted([*healthy, bad])
+        assert responses[bad].finish_reason == "error"
+        assert responses[bad].error_cause == "prefill_failed"
+        for rid, prompt in healthy.items():
+            want = greedy_generate_serial(model, prompt, 5)
+            got = responses[rid]
+            assert got.finish_reason == "length"
+            assert got.token_ids == want.token_ids
+            for a, b in zip(want.policy_stats, got.policy_stats, strict=True):
+                assert_stats_match_serial(a, b)
+        pool = engine.stats()["kv_pool"]
+        assert pool["reserved_pages"] == 0
+        assert pool["pages_in_use"] == engine.stats()["prefix_cache"]["pages_held"]
+
+
+class FailingPrefillPolicy(FullCachePolicy):
+    def prefill_extend(self, *args, **kwargs):
+        raise RuntimeError("prefill_extend exploded")
+
+
+def assert_stats_match_serial(want, got):
+    """Every ``PolicyStats`` field except ``prefill_reused_tokens`` (the
+    serial oracle has no prefix cache)."""
+    for name in ("prefill_tokens", "retained_after_prefill", "decode_steps",
+                 "total_attended", "total_evictions", "peak_cache_size"):
+        assert getattr(want, name) == getattr(got, name), name
+    assert len(want.records) == len(got.records)
+    for a, b in zip(want.records, got.records):
+        assert (a.position, a.cache_size, a.num_attended, a.evicted_position) == (
+            b.position, b.cache_size, b.num_attended, b.evicted_position
+        )
+        if a.selected_positions is None:
+            assert b.selected_positions is None
+        else:
+            np.testing.assert_array_equal(a.selected_positions, b.selected_positions)
+
 
 class TestStopIdsSnapshot:
     def test_caller_mutation_after_submit_is_ignored(self, model, prompts):

@@ -7,8 +7,8 @@ whole chunk in one batched forward
 the longest prefix the target's own greedy argmax agrees with.  Rejected
 drafts are rolled back out of the KV state (fresh CoW pages dropped, store
 rows trimmed), so acceptance-checked verification makes the committed
-stream *identical* to plain decode — for every policy, dense and paged,
-at every batch size, across mid-speculation preemption/resume and
+stream *identical* to plain decode — for every policy at every batch
+size, across mid-speculation preemption/resume and
 prefix-shared (copy-on-write) sequences.  A hostile drafter must cost
 only throughput, never correctness: the acceptance-rate auto-disable
 turns speculation off per sequence and the stream still matches.
@@ -164,10 +164,9 @@ class WrongDrafter(Drafter):
 
 class TestSpeculativeEquivalence:
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
-    @pytest.mark.parametrize("paged", [False, True], ids=["dense", "paged"])
     @pytest.mark.parametrize("batch_size", [1, 4, 16])
     def test_token_and_stats_identical(
-        self, model, repetitive_prompts, policy_name, paged, batch_size
+        self, model, repetitive_prompts, policy_name, batch_size
     ):
         factory = build_policy_factory(
             policy_name, prompt_length=len(repetitive_prompts[0]),
@@ -175,12 +174,12 @@ class TestSpeculativeEquivalence:
         )
         reference = make_engine(
             model, repetitive_prompts,
-            kv_pools=make_pools() if paged else None,
+            kv_pools=make_pools(),
             batch_size=batch_size, policy_factory=factory,
         ).run()
         engine = make_engine(
             model, repetitive_prompts,
-            kv_pools=make_pools() if paged else None,
+            kv_pools=make_pools(),
             batch_size=batch_size, policy_factory=factory,
             speculation=SpeculationConfig(drafter=NGramDrafter(), k=4),
         )
