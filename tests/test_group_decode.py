@@ -6,8 +6,9 @@ Acceptance properties of group decode:
   engine whose policy-group spans each execute as one vectorized
   ``decode_step_group`` call are identical to the serial
   :func:`greedy_generate_serial` oracle (one ``decode_step`` per sequence
-  per layer) for every policy flavour and batch size, including
-  mixed-policy batches that force multi-group steps.
+  per layer) for every policy flavour and batch size, on the engine's
+  default arena and on caller-supplied pools, including mixed-policy
+  batches that force multi-group steps.
 * **Safe fallback** — a policy subclass without a vectorized override (or
   one that re-overrides ``decode_step`` below the override) is routed
   through per-sequence ``decode_step`` calls, so external subclasses keep
@@ -93,12 +94,12 @@ def request_factory(i, per_request_factories):
 
 
 def run_engine(model, prompts, *, batch_size=4, policy_factory=None,
-               per_request_factories=None, codec=None):
+               per_request_factories=None, codec=None, default_arena=False):
     engine = BatchedEngine(
         model,
         policy_factory=policy_factory,
         max_batch_size=batch_size,
-        kv_pools=make_pools(codec=codec),
+        kv_pools=None if default_arena else make_pools(codec=codec),
     )
     for i, prompt in enumerate(prompts):
         factory = request_factory(i, per_request_factories)
@@ -158,14 +159,23 @@ def assert_responses_identical(reference, grouped):
             assert_stats_identical(a, b)
 
 
+#: The engine's own default arena (``kv_pools=None``: 16-token pages sized
+#: to the batch) and a caller-supplied pool of 8-token pages.
+ARENA = pytest.mark.parametrize(
+    "default_arena", [True, False], ids=["default-arena", "explicit-pools"]
+)
+
+
 class TestGroupedDecodeEquivalence:
     """The acceptance matrix: grouped decode is token- and stats-identical
-    to the serial oracle for all 7 policies x batch sizes."""
+    to the serial oracle for all 7 policies x batch sizes x the default
+    arena and caller-supplied pools."""
 
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
     @pytest.mark.parametrize("batch_size", [1, 4, 16])
+    @ARENA
     def test_tokens_and_stats_identical(
-        self, model, prompts, policy_name, batch_size
+        self, model, prompts, policy_name, batch_size, default_arena
     ):
         factory = build_policy_factory(
             policy_name, prompt_length=len(prompts[0]), cache_ratio=0.6
@@ -173,6 +183,7 @@ class TestGroupedDecodeEquivalence:
         reference = serial_reference(model, prompts, policy_factory=factory)
         engine, grouped = run_engine(
             model, prompts, batch_size=batch_size, policy_factory=factory,
+            default_arena=default_arena,
         )
         assert_responses_identical(reference, grouped)
         scheduler = engine.stats()["scheduler"]
@@ -294,12 +305,16 @@ class TestMixedPolicyBatches:
             for name in POLICY_NAMES
         ]
 
-    def test_tokens_and_stats_identical(self, model, prompts, factories):
+    @ARENA
+    def test_tokens_and_stats_identical(
+        self, model, prompts, factories, default_arena
+    ):
         reference = serial_reference(
             model, prompts, per_request_factories=factories
         )
         engine, grouped = run_engine(
             model, prompts, batch_size=16, per_request_factories=factories,
+            default_arena=default_arena,
         )
         assert_responses_identical(reference, grouped)
         scheduler = engine.stats()["scheduler"]

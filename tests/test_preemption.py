@@ -6,7 +6,8 @@ later resumes it through the chunked-prefill path — either by
 re-prefilling prompt+generated when every layer policy certifies
 ``exact_resume_by_reprefill``, or by replaying the generated tokens
 through decode.  Both must reproduce the uninterrupted run's tokens and
-``PolicyStats`` exactly, for every policy at every batch size.  A
+``PolicyStats`` exactly, for every policy at every batch size, on the
+engine's default arena and on caller-supplied pools.  A
 preemption storm under optimistic admission must complete every request
 with zero errors.
 """
@@ -58,6 +59,14 @@ def make_pools(num_pages=600, page_size=8):
         LAYERS, page_size=page_size, num_heads=HEADS, head_dim=HEAD_DIM,
         num_pages=num_pages,
     )
+
+
+#: The engine's own default arena (``kv_pools=None``: 16-token pages sized
+#: to the batch) and a caller-supplied pool of 8-token pages, so page
+#: boundaries, copy-on-write splits and page allocation fall at different
+#: tokens.
+ARENAS = [lambda: None, make_pools]
+ARENA_IDS = ["default-arena", "explicit-pools"]
 
 
 def make_engine(model, prompts, *, kv_pools=None, batch_size=4,
@@ -141,9 +150,10 @@ def assert_responses_equivalent(reference, resumed):
 
 class TestPreemptResumeEquivalence:
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
+    @pytest.mark.parametrize("arena", ARENAS, ids=ARENA_IDS)
     @pytest.mark.parametrize("batch_size", [1, 4, 16])
     def test_forced_preemption_is_invisible(
-        self, model, shared_prefix_prompts, policy_name, batch_size
+        self, model, shared_prefix_prompts, policy_name, arena, batch_size
     ):
         factory = build_policy_factory(
             policy_name, prompt_length=len(shared_prefix_prompts[0]),
@@ -151,12 +161,12 @@ class TestPreemptResumeEquivalence:
         )
         reference = make_engine(
             model, shared_prefix_prompts,
-            kv_pools=make_pools(),
+            kv_pools=arena(),
             batch_size=batch_size, policy_factory=factory,
         ).run()
         engine = make_engine(
             model, shared_prefix_prompts,
-            kv_pools=make_pools(),
+            kv_pools=arena(),
             batch_size=batch_size, policy_factory=factory,
         )
         resumed = run_with_forced_preemptions(engine)

@@ -281,17 +281,28 @@ class TestAdmissionFailureConsistency:
         rid = engine.submit(ServingRequest(prompt_ids=prompts[3], max_new_tokens=2))
         assert engine.run()[-1].request_id == rid
 
-    @pytest.mark.parametrize("budget", [None, 4], ids=["whole-prompt", "chunked"])
+    @pytest.mark.parametrize(
+        "budget,warm", [(None, False), (4, False), (4, True)],
+        ids=["whole-prompt", "chunked", "chunked-prefix-hit"],
+    )
     def test_failed_packed_prefill_restarts_each_member_alone(
-        self, model, prompts, budget, monkeypatch
+        self, model, prompts, budget, warm, monkeypatch
     ):
         """A policy raising inside a packed prefill pass fails only its own
         request: every member of the pass is re-prefilled alone, the
         healthy ones match the serial oracle and no page leaks.  At a
         4-token budget the 5-, 2- and 7-token prompts meet in the second
         step's pass (the first prompt's last token, the whole offender and
-        the third prompt's first token)."""
+        the third prompt's first token).  With ``warm`` the third prompt
+        is a 33-token one whose first 32 tokens an earlier request left in
+        the prefix cache: its pinned prefix is dropped and it restarts
+        cold."""
         engine = BatchedEngine(model, max_batch_size=4, max_tokens_per_step=budget)
+        third_prompt = prompts[3] if warm else prompts[2]
+        if warm:
+            engine.submit(ServingRequest(prompt_ids=third_prompt, max_new_tokens=1))
+            engine.run()
+            assert engine.stats()["prefix_cache"]["pages_held"] > 0
         restarted = []
         restart = engine._restart_prefill_alone
 
@@ -310,13 +321,16 @@ class TestAdmissionFailureConsistency:
             )
         )
         third = engine.submit(
-            ServingRequest(prompt_ids=prompts[2], max_new_tokens=5)
+            ServingRequest(prompt_ids=third_prompt, max_new_tokens=5)
         )
-        healthy = {first: prompts[0][:5], third: prompts[2]}
+        healthy = {first: prompts[0][:5], third: third_prompt}
         responses = {r.request_id: r for r in engine.run()}
         assert sorted(restarted) == sorted([*healthy, bad])
         assert responses[bad].finish_reason == "error"
         assert responses[bad].error_cause == "prefill_failed"
+        if warm:
+            # The third request's lookup hit before the pass failed.
+            assert engine.stats()["prefix_cache"]["hits"] == 1
         for rid, prompt in healthy.items():
             want = greedy_generate_serial(model, prompt, 5)
             got = responses[rid]

@@ -8,7 +8,8 @@ the longest prefix the target's own greedy argmax agrees with.  Rejected
 drafts are rolled back out of the KV state (fresh CoW pages dropped, store
 rows trimmed), so acceptance-checked verification makes the committed
 stream *identical* to plain decode — for every policy at every batch
-size, across mid-speculation preemption/resume and
+size, on the engine's default arena and on caller-supplied pools, across
+mid-speculation preemption/resume and
 prefix-shared (copy-on-write) sequences.  A hostile drafter must cost
 only throughput, never correctness: the acceptance-rate auto-disable
 turns speculation off per sequence and the stream still matches.
@@ -79,6 +80,13 @@ def make_pools(num_pages=600, page_size=8):
         LAYERS, page_size=page_size, num_heads=HEADS, head_dim=HEAD_DIM,
         num_pages=num_pages,
     )
+
+
+#: The engine's own default arena (``kv_pools=None``: 16-token pages sized
+#: to the batch) and a caller-supplied pool of 8-token pages, so rollback
+#: and copy-on-write meet page boundaries at different tokens.
+ARENAS = [lambda: None, make_pools]
+ARENA_IDS = ["default-arena", "explicit-pools"]
 
 
 def make_engine(model, prompts, *, kv_pools=None, batch_size=4,
@@ -164,9 +172,10 @@ class WrongDrafter(Drafter):
 
 class TestSpeculativeEquivalence:
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
+    @pytest.mark.parametrize("arena", ARENAS, ids=ARENA_IDS)
     @pytest.mark.parametrize("batch_size", [1, 4, 16])
     def test_token_and_stats_identical(
-        self, model, repetitive_prompts, policy_name, batch_size
+        self, model, repetitive_prompts, policy_name, arena, batch_size
     ):
         factory = build_policy_factory(
             policy_name, prompt_length=len(repetitive_prompts[0]),
@@ -174,12 +183,12 @@ class TestSpeculativeEquivalence:
         )
         reference = make_engine(
             model, repetitive_prompts,
-            kv_pools=make_pools(),
+            kv_pools=arena(),
             batch_size=batch_size, policy_factory=factory,
         ).run()
         engine = make_engine(
             model, repetitive_prompts,
-            kv_pools=make_pools(),
+            kv_pools=arena(),
             batch_size=batch_size, policy_factory=factory,
             speculation=SpeculationConfig(drafter=NGramDrafter(), k=4),
         )
