@@ -18,7 +18,7 @@ from ..attention import attention_output, attention_scores, head_mean_scores, so
 from ..group_decode import batched_group_attention, gather_group_kv
 from ..kv_pool import PagedKVPool
 from ..policy import KVCachePolicy, SpeculationState, StepRecord
-from ..static_pruning import accumulated_scores_from_attention
+from ..static_pruning import PrefillNeed
 
 
 class H2OPolicy(KVCachePolicy):
@@ -75,11 +75,16 @@ class H2OPolicy(KVCachePolicy):
         return self.heavy_budget + self.recent_budget
 
     # ------------------------------------------------------------------
-    def prefill(
+    @property
+    def prefill_need(self) -> PrefillNeed:
+        """Accumulated softmax probability mass over every prompt query."""
+        return PrefillNeed(softmax=True)
+
+    def _prefill_from_scores(
         self,
         keys: np.ndarray,
         values: np.ndarray,
-        attention_matrix: Optional[np.ndarray] = None,
+        token_scores: Optional[np.ndarray],
     ) -> None:
         self._check_prefill_shapes(keys, values)
         keys = np.asarray(keys, dtype=np.float64)
@@ -87,10 +92,8 @@ class H2OPolicy(KVCachePolicy):
         n = keys.shape[0]
         self.stats.prefill_tokens = n
 
-        if attention_matrix is not None:
-            scores = accumulated_scores_from_attention(
-                attention_matrix, use_softmax=True
-            )
+        if token_scores is not None:
+            scores = np.asarray(token_scores, dtype=np.float64)
         else:
             scores = np.zeros(n, dtype=np.float64)
 

@@ -20,7 +20,7 @@ from ..attention import attention_output
 from ..group_decode import batched_group_attention, gather_group_kv
 from ..kv_pool import PagedKVPool
 from ..policy import KVCachePolicy, StepRecord
-from ..static_pruning import accumulated_scores_from_attention
+from ..static_pruning import PrefillNeed
 
 
 def pool_scores(scores: np.ndarray, kernel_size: int = 5) -> np.ndarray:
@@ -100,11 +100,16 @@ class SnapKVPolicy(KVCachePolicy):
         )
 
     # ------------------------------------------------------------------
-    def prefill(
+    @property
+    def prefill_need(self) -> PrefillNeed:
+        """Softmax column sums over the observation window's queries only."""
+        return PrefillNeed(softmax=True, window=self.observation_window)
+
+    def _prefill_from_scores(
         self,
         keys: np.ndarray,
         values: np.ndarray,
-        attention_matrix: Optional[np.ndarray] = None,
+        token_scores: Optional[np.ndarray],
     ) -> None:
         self._check_prefill_shapes(keys, values)
         keys = np.asarray(keys, dtype=np.float64)
@@ -118,22 +123,15 @@ class SnapKVPolicy(KVCachePolicy):
         if self.prompt_budget >= n:
             kept = list(range(n))
         else:
-            if attention_matrix is not None:
-                scores = accumulated_scores_from_attention(
-                    attention_matrix,
-                    use_softmax=True,
-                    observation_window=window,
-                )
+            if token_scores is not None:
+                scores = np.asarray(token_scores, dtype=np.float64)
             else:
                 scores = np.zeros(n, dtype=np.float64)
             pooled = pool_scores(scores, self.pool_kernel)
             # Observation window is always kept; fill the rest of the budget
             # with the highest pooled scores outside the window.
             remaining_budget = max(0, self.prompt_budget - window)
-            candidates = np.asarray(
-                [p for p in range(n) if p not in set(window_positions)],
-                dtype=np.int64,
-            )
+            candidates = np.arange(n - window, dtype=np.int64)
             cand_scores = pooled[candidates]
             order = np.lexsort((candidates, -cand_scores))
             chosen = candidates[order[:remaining_budget]]

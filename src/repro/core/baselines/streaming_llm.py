@@ -84,11 +84,11 @@ class StreamingLLMPolicy(KVCachePolicy):
         self._store = self._make_store()
 
     # ------------------------------------------------------------------
-    def prefill(
+    def _prefill_from_scores(
         self,
         keys: np.ndarray,
         values: np.ndarray,
-        attention_matrix: Optional[np.ndarray] = None,
+        token_scores: Optional[np.ndarray],
     ) -> None:
         self._check_prefill_shapes(keys, values)
         keys = np.asarray(keys, dtype=np.float64)
@@ -110,7 +110,7 @@ class StreamingLLMPolicy(KVCachePolicy):
         self,
         keys: np.ndarray,
         values: np.ndarray,
-        attention_matrix: Optional[np.ndarray] = None,
+        token_scores: Optional[np.ndarray] = None,
         start: int = 0,
         final: bool = False,
         reused_tokens: int = 0,

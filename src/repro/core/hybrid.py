@@ -3,7 +3,9 @@
 :class:`UniCAIMPolicy` implements the algorithm of Sec. III-A end to end:
 
 * **Prefill** — accumulated attention scores are computed over the prompt
-  and only the ``H`` heaviest tokens are written into a fixed-capacity
+  (column sums streamed out of the prefill attention, see
+  :class:`~repro.core.static_pruning.ColumnSums`) and only the ``H``
+  heaviest tokens are written into a fixed-capacity
   :class:`~repro.core.kv_cache.SlotKVCache` of ``H + M`` slots.
 * **Decoding** — at every step the newly generated KV pair is written into
   a free slot; once all ``M`` reserved slots are in use, the token with the
@@ -39,10 +41,7 @@ from .dynamic_pruning import (
 from .group_decode import attend_selected, read_group_keys
 from .kv_cache import SlotKVCache
 from .policy import KVCachePolicy, StepRecord
-from .static_pruning import (
-    accumulated_scores_from_attention,
-    select_heavy_tokens,
-)
+from .static_pruning import PrefillNeed, select_heavy_tokens
 
 
 @dataclass
@@ -174,11 +173,17 @@ class UniCAIMPolicy(KVCachePolicy):
     # ------------------------------------------------------------------
     # Prefill stage: one-shot static pruning
     # ------------------------------------------------------------------
-    def prefill(
+    @property
+    def prefill_need(self) -> PrefillNeed:
+        """Softmax column sums, or the raw scaled scores the charge-domain
+        mode accumulates (``use_softmax_scores=False``)."""
+        return PrefillNeed(softmax=self.config.use_softmax_scores)
+
+    def _prefill_from_scores(
         self,
         keys: np.ndarray,
         values: np.ndarray,
-        attention_matrix: Optional[np.ndarray] = None,
+        token_scores: Optional[np.ndarray],
     ) -> None:
         self._check_prefill_shapes(keys, values)
         keys = np.asarray(keys, dtype=np.float64)
@@ -187,11 +192,8 @@ class UniCAIMPolicy(KVCachePolicy):
         self._prefill_length = n
         self.stats.prefill_tokens = n
 
-        if attention_matrix is not None:
-            scores = accumulated_scores_from_attention(
-                attention_matrix,
-                use_softmax=self.config.use_softmax_scores,
-            )
+        if token_scores is not None:
+            scores = np.asarray(token_scores, dtype=np.float64)
         else:
             # Without a prefill attention map (e.g. when the policy is used
             # standalone), fall back to a small position-proportional score
@@ -212,10 +214,11 @@ class UniCAIMPolicy(KVCachePolicy):
 
         self.cache.clear()
         self._slot_scores.fill(0.0)
-        for position in result.kept_positions:
-            pos = int(position)
-            slot = self.cache.append(keys[pos], values[pos], pos, is_heavy=True)
-            self._slot_scores[slot] = float(scores[pos])
+        kept = result.kept_positions
+        slots = self.cache.append_many(
+            keys[kept], values[kept], kept, is_heavy=True
+        )
+        self._slot_scores[slots] = scores[kept]
         self.stats.retained_after_prefill = len(self.cache)
         self._generated_count = 0
         self.eviction_log = []

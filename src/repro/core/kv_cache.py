@@ -246,6 +246,44 @@ class SlotKVCache:
         self._write_slot(slot, key, value, token_position, is_heavy)
         return slot
 
+    def append_many(
+        self,
+        keys: np.ndarray,
+        values: np.ndarray,
+        token_positions: Sequence[int],
+        is_heavy: bool = False,
+    ) -> np.ndarray:
+        """Bulk-load ``n`` KV rows into an empty cache; returns their slots.
+
+        Equivalent to ``n`` :meth:`append` calls right after :meth:`clear`
+        — those hand out slots ``0, 1, ..., n-1`` in order — but the rows
+        go to the pool as one span write.  Rows are coerced through the cache's
+        write dtype exactly as :meth:`append` coerces them.
+        """
+        if len(self._free_slots) != self.capacity:
+            raise RuntimeError("append_many needs an empty cache")
+        positions = np.asarray(token_positions, dtype=np.int64).reshape(-1)
+        n = int(positions.size)
+        if n > self.capacity:
+            raise RuntimeError("KV cache is full; evict a slot before appending")
+        expected = (n, self.num_heads, self.head_dim)
+        keys = np.asarray(keys, dtype=self.dtype)
+        values = np.asarray(values, dtype=self.dtype)
+        if keys.shape != expected or values.shape != expected:
+            raise ValueError(f"keys and values must have shape {expected}")
+        if n and positions.min() < 0:
+            raise ValueError("token_position must be >= 0")
+        if n:
+            self._table.write_span(0, keys, values)
+        self._occupied[:n] = True
+        self._token_positions[:n] = positions
+        self._is_heavy[:n] = bool(is_heavy)
+        self._pos_to_slot = {int(pos): slot for slot, pos in enumerate(positions)}
+        self._free_slots = dict.fromkeys(range(self.capacity - 1, n - 1, -1))
+        self._writes += n
+        self._invalidate_views()
+        return np.arange(n, dtype=np.int64)
+
     def overwrite(
         self,
         slot: int,

@@ -10,10 +10,18 @@ under any policy by swapping one object.
 
 Protocol
 --------
-1. ``prefill(keys, values, attention_matrix)`` is called once with the full
-   prompt KV tensors (shape ``[n, h, d]``) and the prefill attention scores
-   (shape ``[h, n, n]`` raw dot products).  The policy decides which prompt
-   tokens to retain.
+1. The prompt's KV tensors (shape ``[n, h, d]``) arrive once, and the
+   policy decides which prompt tokens to retain.  A policy whose
+   retention reads the prefill attention declares a
+   :attr:`~KVCachePolicy.prefill_need`
+   (:class:`~repro.core.static_pruning.PrefillNeed`: softmax or raw column
+   sums, optionally over an observation window only); the model streams
+   exactly those per-token sums out of its prefill attention and hands
+   them over as ``token_scores`` ``[n]``
+   (:meth:`~KVCachePolicy.prefill_precomputed` /
+   :meth:`~KVCachePolicy.prefill_extend`).  Standalone callers may instead
+   pass a raw ``[h, n, n]`` score matrix to :meth:`~KVCachePolicy.prefill`,
+   which reduces it through the same accumulator.
 2. ``decode_step(query, key, value, position)`` is called for every
    generated token with the current query, the new token's key/value and its
    logical position.  The policy inserts the new KV pair (possibly evicting
@@ -46,6 +54,7 @@ import numpy as np
 from .attention import attention_output, causal_prefix_attention
 from .group_decode import batched_group_attention, gather_group_kv
 from .kv_pool import PagedKVPool, PagedKVStore, SharedKVPages
+from .static_pruning import PrefillNeed, accumulated_scores_from_attention
 
 
 @dataclass
@@ -125,13 +134,46 @@ class KVCachePolicy(ABC):
 
     # -- required interface -------------------------------------------------
     @abstractmethod
+    def _prefill_from_scores(
+        self,
+        keys: np.ndarray,
+        values: np.ndarray,
+        token_scores: Optional[np.ndarray],
+    ) -> None:
+        """Ingest the prompt KV cache and apply any prefill-time pruning.
+
+        ``token_scores`` ``[n]`` are the accumulated per-token scores of
+        :attr:`prefill_need` (``None`` when the policy declares none or the
+        caller has no attention to offer).
+        """
+
+    @property
+    def prefill_need(self) -> Optional[PrefillNeed]:
+        """The column sums this policy's prefill pruning reads (default:
+        none — retention that ignores the prefill attention)."""
+        return None
+
     def prefill(
         self,
         keys: np.ndarray,
         values: np.ndarray,
         attention_matrix: Optional[np.ndarray] = None,
     ) -> None:
-        """Ingest the prompt KV cache and apply any prefill-time pruning."""
+        """Standalone prefill from a raw scaled score matrix ``[h, n, n]``.
+
+        The matrix is reduced to :attr:`prefill_need`'s per-token scores by
+        :func:`~repro.core.static_pruning.accumulated_scores_from_attention`
+        — the same accumulator the model's streaming prefill folds into.
+        """
+        need = self.prefill_need
+        token_scores = None
+        if attention_matrix is not None and need is not None:
+            token_scores = accumulated_scores_from_attention(
+                attention_matrix,
+                use_softmax=need.softmax,
+                observation_window=need.window,
+            )
+        self._prefill_from_scores(keys, values, token_scores)
 
     @abstractmethod
     def decode_step(
@@ -373,20 +415,21 @@ class KVCachePolicy(ABC):
         self,
         keys: np.ndarray,
         values: np.ndarray,
-        attention_matrix: Optional[np.ndarray] = None,
+        token_scores: Optional[np.ndarray] = None,
         reused_tokens: int = 0,
         prefix_pages: Optional[SharedKVPages] = None,
     ) -> None:
-        """Prefill from K/V/scores computed outside the policy's own pass.
+        """Prefill from K/V and token scores computed by the model's prefill.
 
         This is the entry point of the batched padding-free prefill and the
         shared-prefix cache (:mod:`repro.serving.prefix_cache`): the caller
-        supplies the full prompt's per-layer keys, values and scaled raw
-        attention scores — of which the first ``reused_tokens`` rows were
-        restored from a prefix cache rather than recomputed — and the policy
-        applies exactly the same prefill-time pruning as :meth:`prefill`.
-        The reuse count is recorded on :attr:`stats` for observability; it
-        does not change any pruning decision.
+        supplies the full prompt's per-layer keys and values — of which
+        the first ``reused_tokens`` rows were restored from a prefix cache
+        rather than recomputed — and the accumulated per-token scores of
+        :attr:`prefill_need`, and the policy applies exactly the same
+        prefill-time pruning as :meth:`prefill`.  The reuse count is
+        recorded on :attr:`stats` for observability; it does not change
+        any pruning decision.
 
         ``prefix_pages`` optionally hands over the shared pool pages holding
         those reused rows.  Policies whose prefill retains the whole prompt
@@ -397,14 +440,14 @@ class KVCachePolicy(ABC):
         """
         if reused_tokens < 0:
             raise ValueError("reused_tokens must be >= 0")
-        self.prefill(keys, values, attention_matrix=attention_matrix)
+        self._prefill_from_scores(keys, values, token_scores)
         self.stats.prefill_reused_tokens = int(reused_tokens)
 
     def prefill_extend(
         self,
         keys: np.ndarray,
         values: np.ndarray,
-        attention_matrix: Optional[np.ndarray] = None,
+        token_scores: Optional[np.ndarray] = None,
         start: int = 0,
         final: bool = False,
         reused_tokens: int = 0,
@@ -414,21 +457,20 @@ class KVCachePolicy(ABC):
 
         The chunked-prefill entry point: the caller hands over the
         *cumulative* prompt tensors after every chunk iteration — ``keys``/
-        ``values`` of shape ``[m, h, d]`` and the scaled raw score block
-        ``[h, m, m]`` covering every prompt token processed so far, of
-        which rows ``start:`` are new since the previous call (``start`` is
-        0 on the first call).  ``final`` marks the last chunk; only then is
-        the prompt complete.
+        ``values`` of shape ``[m, h, d]`` covering every prompt token
+        processed so far, of which rows ``start:`` are new since the
+        previous call (``start`` is 0 on the first call).  ``final`` marks
+        the last chunk; only then is the prompt complete, and only then do
+        the accumulated ``token_scores`` ``[m]`` arrive (every query row
+        has to be folded in before a column sum is final).
 
         The default defers all pruning to the final chunk and then runs the
         exact one-shot :meth:`prefill_precomputed`, so any policy is
         chunk-size-invariant *by construction* — selection that depends on
         whole-prompt statistics (H2O/SnapKV accumulated scores, UniCAIM
-        heavy-token selection) cannot be applied per-chunk without
-        re-deriving the one-shot result, and re-summing per chunk would
-        reorder the floating-point accumulation.  Backends whose retention
-        rule is chunk-local (full cache, Quest, StreamingLLM) override this
-        to move rows into pool storage as each chunk lands.
+        heavy-token selection) cannot be applied per-chunk.  Backends whose
+        retention rule is chunk-local (full cache, Quest, StreamingLLM)
+        override this to move rows into pool storage as each chunk lands.
         """
         if start < 0:
             raise ValueError("start must be >= 0")
@@ -437,7 +479,7 @@ class KVCachePolicy(ABC):
         self.prefill_precomputed(
             keys,
             values,
-            attention_matrix=attention_matrix,
+            token_scores=token_scores,
             reused_tokens=reused_tokens,
             prefix_pages=prefix_pages,
         )
@@ -608,11 +650,11 @@ class WholePromptStoreMixin:
     def adopts_prefix_pages(self) -> bool:
         return True
 
-    def prefill(
+    def _prefill_from_scores(
         self,
         keys: np.ndarray,
         values: np.ndarray,
-        attention_matrix: Optional[np.ndarray] = None,
+        token_scores: Optional[np.ndarray],
     ) -> None:
         self._load_prompt(keys, values, adopt=None)
 
@@ -620,7 +662,7 @@ class WholePromptStoreMixin:
         self,
         keys: np.ndarray,
         values: np.ndarray,
-        attention_matrix: Optional[np.ndarray] = None,
+        token_scores: Optional[np.ndarray] = None,
         reused_tokens: int = 0,
         prefix_pages: Optional[SharedKVPages] = None,
     ) -> None:
@@ -633,7 +675,7 @@ class WholePromptStoreMixin:
         self,
         keys: np.ndarray,
         values: np.ndarray,
-        attention_matrix: Optional[np.ndarray] = None,
+        token_scores: Optional[np.ndarray] = None,
         start: int = 0,
         final: bool = False,
         reused_tokens: int = 0,

@@ -54,6 +54,85 @@ class StaticPruningResult:
         return self.num_kept / total
 
 
+@dataclass(frozen=True)
+class PrefillNeed:
+    """What a policy's prefill-time pruning reads from the prompt's attention.
+
+    Every static stage in the library reduces the causal prefill attention
+    to one number per key: a column sum over query rows.  ``softmax``
+    selects what is summed — each row's softmax probability (H2O-style
+    mass) or the raw scaled score with masked entries counting zero (what
+    the charge-domain hardware accumulates).  ``window`` keeps only the
+    last ``window`` query rows (SnapKV's observation window); ``None``
+    sums every row.  Policies whose retention ignores scores declare no
+    need at all (``prefill_need is None``).
+    """
+
+    softmax: bool = True
+    window: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.window is not None and self.window < 1:
+            raise ValueError("observation_window must be >= 1")
+
+
+class ColumnSums:
+    """Running per-head column sums of one prompt's causal prefill attention.
+
+    ``sums[h, j]`` is, for head ``h``, the sum over the query rows ``i``
+    the :class:`PrefillNeed` selects of row ``i``'s contribution to key
+    ``j`` (zero for ``j > i``).  Rows arrive in blocks, in position order,
+    straight from the attention that computed them, and are dropped after
+    :meth:`fold` — the static stage needs O(heads x N) memory, as the
+    array's per-row charge does, never the ``[h, N, N]`` score matrix.
+
+    The running sum is folded into each block's reduction as its first
+    row, so every column is the strictly sequential sum ``((0 + r_0) +
+    r_1) + ...`` whatever the block or chunk boundaries were.
+    """
+
+    def __init__(self, need: PrefillNeed, num_heads: int, total_tokens: int) -> None:
+        if total_tokens < 1:
+            raise ValueError("total_tokens must be >= 1")
+        self.need = need
+        self.total_tokens = int(total_tokens)
+        self.sums = np.zeros((int(num_heads), self.total_tokens), dtype=np.float64)
+        # Query rows folded so far (rows must arrive in position order).
+        self.rows = 0
+        # First query row the need sums (the observation window's start).
+        self.first_row = (
+            0 if need.window is None else self.total_tokens - need.window
+        )
+
+    def fold(self, block: np.ndarray, start: int) -> None:
+        """Add one block of query rows and forget it.
+
+        ``block`` is ``[h, 1 + m, n]``: index 0 is a spare row (overwritten
+        here), and index ``r + 1`` holds the contribution of the query at
+        position ``start + r`` to keys ``0 .. n-1`` (probabilities or
+        raw scores as :attr:`need` says, masked entries already zero).
+        """
+        m = block.shape[1] - 1
+        if start != self.rows:
+            raise ValueError(
+                f"query rows must be folded in position order (expected "
+                f"row {self.rows}, got {start})"
+            )
+        if start + m > self.total_tokens or block.shape[2] > self.total_tokens:
+            raise ValueError("block extends past the prompt")
+        self.rows = start + m
+        first = max(0, self.first_row - start)
+        if first >= m:
+            return
+        n = block.shape[2]
+        block[:, first, :] = self.sums[:, :n]
+        np.add.reduce(block[:, first:, :], axis=1, out=self.sums[:, :n])
+
+    def token_scores(self) -> np.ndarray:
+        """Head-mean accumulated score per prompt token, shape ``[N]``."""
+        return head_mean_scores(self.sums)
+
+
 def accumulated_scores_from_attention(
     attention_matrix: np.ndarray,
     use_softmax: bool = True,
@@ -61,6 +140,10 @@ def accumulated_scores_from_attention(
     observation_window: Optional[int] = None,
 ) -> np.ndarray:
     """Accumulated importance of each key token from a prefill attention map.
+
+    The standalone form of the static stage: the matrix's rows go through
+    the same :class:`ColumnSums` reduction the serving prefill streams
+    into, in one block.
 
     Parameters
     ----------
@@ -91,6 +174,7 @@ def accumulated_scores_from_attention(
         attn = attn[None, :, :]
     if attn.ndim != 3:
         raise ValueError("attention_matrix must be [q, n] or [h, q, n]")
+    need = PrefillNeed(softmax=use_softmax, window=observation_window)
     num_heads, num_queries, num_keys = attn.shape
 
     if causal:
@@ -99,18 +183,17 @@ def accumulated_scores_from_attention(
         visible = key_positions[None, :] <= query_positions[:, None]
         attn = np.where(visible[None, :, :], attn, -np.inf)
 
+    block = np.empty((num_heads, num_queries + 1, num_keys), dtype=np.float64)
     if use_softmax:
-        probs = softmax(attn, axis=-1)
+        block[:, 1:, :] = softmax(attn, axis=-1)
     else:
-        probs = np.where(np.isfinite(attn), attn, 0.0)
+        block[:, 1:, :] = np.where(np.isfinite(attn), attn, 0.0)
 
-    if observation_window is not None:
-        if observation_window < 1:
-            raise ValueError("observation_window must be >= 1")
-        probs = probs[:, -observation_window:, :]
-
-    per_head = probs.sum(axis=1)  # [h, n]
-    return head_mean_scores(per_head)
+    sums = ColumnSums(need, num_heads, num_keys)
+    # The matrix's rows sit at the last ``q`` positions.
+    sums.rows = num_keys - num_queries
+    sums.fold(block, num_keys - num_queries)
+    return sums.token_scores()
 
 
 def select_heavy_tokens(
@@ -208,6 +291,8 @@ def lowest_score_position(
 
 
 __all__ = [
+    "ColumnSums",
+    "PrefillNeed",
     "StaticPruningResult",
     "accumulated_scores_from_attention",
     "select_heavy_tokens",

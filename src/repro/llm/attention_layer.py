@@ -2,24 +2,116 @@
 
 The layer has two execution paths:
 
-* :meth:`MultiHeadSelfAttention.prefill` — full causal attention over the
-  prompt, computed densely.  The per-head raw attention scores are handed
-  to the KV cache policy so it can apply its prefill-time pruning
-  (one-shot static pruning for UniCAIM, observation-window compression for
-  SnapKV, ...).
+* :meth:`MultiHeadSelfAttention.prefill_chunk` (and its one-prompt,
+  one-chunk form :meth:`~MultiHeadSelfAttention.prefill`) — exact causal
+  attention over prompt rows through :func:`causal_prefill`, which also
+  streams the column sums a policy's prefill-time pruning reads (one-shot
+  static pruning for UniCAIM, observation-window compression for SnapKV,
+  ...) out of the probabilities it computes.
 * :meth:`MultiHeadSelfAttention.decode` — one token at a time; the policy
   owns the cached keys/values and performs the (possibly sparse) attention.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.attention import merge_heads, softmax
 from ..core.group_decode import GroupDecodeStats, run_group_decode
 from ..core.policy import KVCachePolicy
+from ..core.static_pruning import ColumnSums
+
+#: Query rows per block of :func:`causal_prefill`.  Its temporaries are
+#: ``[h, PREFILL_ROW_BLOCK + 1, n]`` however long the chunk is, so even a
+#: whole long prompt in one chunk never builds an ``[h, n, n]`` array.
+PREFILL_ROW_BLOCK = 256
+
+# ``_FUTURE[i, j]``: in a block's trailing square, query row ``i`` does not
+# see key ``j``.
+_FUTURE = np.triu(np.ones((PREFILL_ROW_BLOCK, PREFILL_ROW_BLOCK), dtype=bool), k=1)
+
+
+def causal_prefill(
+    queries: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    start: int,
+    scale: float,
+    out: Optional[np.ndarray] = None,
+    sums: Optional[ColumnSums] = None,
+) -> None:
+    """Exact causal attention of one prompt's query rows, in row blocks.
+
+    ``queries`` is ``[m, h, d]``, the rows at prompt positions ``start ..
+    start + m - 1``; ``keys``/``values`` hold at least the prompt's first
+    ``start + m`` rows (``[>= start + m, h, d]``).  Each block of
+    :data:`PREFILL_ROW_BLOCK` rows computes its scaled scores against the
+    keys it can see with one ``np.matmul`` per head, masks the future,
+    softmaxes in place and writes ``probs @ V`` into ``out`` (``[m, h,
+    d]``; ``None`` skips it — a replay that only rebuilds ``sums``).  If
+    ``sums`` is given, the block's rows are folded into it — the raw
+    scaled scores (masked entries zero) or the probabilities, as its need
+    says — and the block is dropped.
+
+    The serial reference and the serving engine both prefill through this
+    one function, so they agree bit for bit on the same rows.
+    """
+    m, num_heads, _ = queries.shape
+    q_h = queries.transpose(1, 0, 2)  # [h, m, d]
+    k_h = keys.transpose(1, 2, 0)  # [h, d, N]
+    v_h = values.transpose(1, 0, 2)  # [h, N, d]
+    raw = sums is not None and not sums.need.softmax
+    for r0 in range(0, m, PREFILL_ROW_BLOCK):
+        r1 = min(m, r0 + PREFILL_ROW_BLOCK)
+        rows = r1 - r0
+        n = start + r1  # keys visible to the block's last row
+        # Index 0 is ColumnSums.fold's spare row; query rows follow.
+        block = np.empty((num_heads, rows + 1, n))
+        scores = block[:, 1:, :]
+        np.matmul(q_h[:, r0:r1], k_h[:, :, :n], out=scores)
+        scores *= scale
+        # Only the trailing [rows, rows] square holds keys in the future
+        # of some row of the block.
+        future = _FUTURE[:rows, :rows]
+        square = scores[:, :, n - rows:]
+        if raw:
+            np.copyto(square, 0.0, where=future)
+            sums.fold(block, start + r0)
+        np.copyto(square, -np.inf, where=future)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        if out is not None:
+            np.matmul(scores, v_h[:, :n], out=out[r0:r1].transpose(1, 0, 2))
+        if sums is not None and not raw:
+            sums.fold(block, start + r0)
+
+
+@dataclass(eq=False)
+class LayerPrefill:
+    """One layer's prompt-sized prefill buffers.
+
+    ``keys``, ``values`` and ``queries`` are ``[N, h, d]`` for the whole
+    ``N``-token prompt; chunk iterations write their rows in place, after
+    any rows already there (earlier chunks, a reused prefix).  ``sums`` is
+    the ``[h, N]`` column-sum accumulator the layer's policy needs
+    (:attr:`~repro.core.policy.KVCachePolicy.prefill_need`), created at the
+    first chunk; ``None`` when the policy reads no scores.
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+    queries: np.ndarray
+    sums: Optional[ColumnSums] = None
+
+    @classmethod
+    def allocate(cls, total_tokens: int, num_heads: int, head_dim: int) -> "LayerPrefill":
+        if total_tokens < 1:
+            raise ValueError("total_tokens must be >= 1")
+        shape = (int(total_tokens), int(num_heads), int(head_dim))
+        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
 
 class MultiHeadSelfAttention:
@@ -124,40 +216,34 @@ class MultiHeadSelfAttention:
         self,
         x: np.ndarray,
         policy: Optional[KVCachePolicy] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense causal self-attention over the prompt.
+    ) -> Tuple[np.ndarray, Optional[ColumnSums]]:
+        """Causal self-attention over a whole prompt — the serial reference.
 
-        Returns ``(output [n, model_dim], raw_scores [h, n, n])`` and, if a
-        policy is given, calls its ``prefill`` with the keys, values and the
-        scaled raw scores.
+        The one-prompt, one-chunk case of :meth:`prefill_chunk`, so the
+        reference and the serving engine share every operation.  Returns
+        ``(output [n, model_dim], sums)``; if a policy is given it is fed
+        the prompt's keys and values, and ``sums`` is the column-sum
+        accumulator its static stage read (``None`` without a need).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.model_dim:
             raise ValueError(f"x must be [n, {self.model_dim}]")
         n = x.shape[0]
-        q, k, v = self.project_qkv(x)
-
-        # [h, n(query), n(key)]
-        scores = np.einsum("qhd,khd->hqk", q, k) * self.scale
-        causal = np.tril(np.ones((n, n), dtype=bool))
-        masked = np.where(causal[None, :, :], scores, -np.inf)
-        probs = softmax(masked, axis=-1)
-        head_out = np.einsum("hqk,khd->qhd", probs, v)
-        output = self.output_projection(head_out)
-
-        if policy is not None:
-            policy.prefill(k, v, attention_matrix=scores)
-        return output, scores
+        layer = LayerPrefill.allocate(n, self.num_heads, self.head_dim)
+        output = self.prefill_chunk(
+            x, [(0, n)], [0], [layer], [policy], [(0, True, 0, None)]
+        )
+        return output, layer.sums
 
     def prefill_chunk(
         self,
         x: np.ndarray,
         segments: Sequence[Tuple[int, int]],
-        priors: Sequence[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+        positions: Sequence[int],
+        layers: Sequence[LayerPrefill],
         policies: Sequence[Optional[KVCachePolicy]],
         extends: Sequence[tuple],
-        buffers: Optional[Sequence[Optional[tuple]]] = None,
-    ) -> Tuple[np.ndarray, list]:
+    ) -> np.ndarray:
         """Padding-free causal attention over one *chunk* of several prompts.
 
         This is the iteration primitive of chunked prefill: ``x`` holds the
@@ -165,130 +251,98 @@ class MultiHeadSelfAttention:
         concatenated with no padding; ``segments[b] = (start, length)`` is
         sequence ``b``'s row range.  The Q/K/V projection is one packed
         GEMM over all rows, and the output projection one packed GEMM over
-        all head outputs; only the per-sequence causal attention blocks are
-        looped, because every sequence has its own key set.
+        all head outputs; only the per-sequence causal attention
+        (:func:`causal_prefill`) is looped, because every sequence has its
+        own key set.
 
-        ``priors[b]`` optionally supplies ``(keys [p, h, d], values
-        [p, h, d], scores [h, p, p])`` covering the ``p`` prompt tokens
-        *before* this chunk — earlier chunks of the same prompt and/or a
-        prefix restored from :mod:`repro.serving.prefix_cache`; the chunk's
-        queries attend against the prior keys concatenated with their own.
-        A whole-prompt prefill is the one-chunk special case (``p = 0``).
+        ``positions[b] = p`` is the prompt position of sequence ``b``'s
+        first chunk token and ``layers[b]`` its :class:`LayerPrefill`,
+        whose first ``p`` rows hold the prior — earlier chunks of the same
+        prompt and/or a prefix restored from
+        :mod:`repro.serving.prefix_cache`.  The chunk's Q/K/V rows are
+        written after them in place and its queries attend against all
+        ``p + length`` keys.  A whole-prompt prefill is the one-chunk
+        special case (``p = 0``).
+
+        At the first chunk the layer creates the column-sum accumulator
+        the sequence's policy needs; a reused prefix's rows are replayed
+        into it from their cached queries and keys through the same
+        kernel (their attention output is not recomputed).
 
         ``extends[b]`` is ``(fed, final, reused_tokens, prefix_pages)``
-        describing how to feed sequence ``b``'s policy: the
-        cumulative ``(k_full, v_full, scores)`` tensors are handed to
+        describing how to feed sequence ``b``'s policy: the cumulative
+        ``(keys, values)`` rows are handed to
         :meth:`~repro.core.policy.KVCachePolicy.prefill_extend` with
         ``start=fed`` (rows already fed by earlier chunks), so incremental
         backends commit just the new rows while deferred backends wait for
-        ``final``.  ``prefix_pages`` carries the shared pool pages of a
-        reused prefix (:class:`~repro.core.kv_pool.SharedKVPages`) for
-        zero-copy adoption on the first chunk.
+        ``final``, where they receive the accumulated token scores.
+        ``prefix_pages`` carries the shared pool pages of a reused prefix
+        (:class:`~repro.core.kv_pool.SharedKVPages`) for zero-copy
+        adoption on the first chunk.
 
-        ``buffers[b]``, when given, is the sequence's full-prompt-sized
-        ``(k_buf [N, h, d], v_buf [N, h, d], s_buf [h, N, N])``
-        accumulation arrays (see
-        :meth:`~repro.llm.model.PrefillState.preallocate`) whose first
-        ``p`` rows/blocks already hold the prior; the chunk's keys, values
-        and score rows are written *in place* and the returned tensors are
-        growing views — no per-chunk re-copy of the accumulated state.
-
-        The reused/prior score block is restored as-is and the causally
-        masked queries-of-the-past block is left at zero (no downstream
-        consumer sees masked entries), so chaining chunks reproduces the
-        one-shot score matrix.
-
-        Returns ``(output [total, model_dim], captured)`` where
-        ``captured[b] = (keys [n, h, d], values [n, h, d], scores [h, n, n])``
-        covers every prompt token processed so far — the next chunk's prior,
-        and (at the final chunk) the prefix-cache insertion payload.
+        Returns the attention output ``[total, model_dim]``.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.model_dim:
             raise ValueError(f"x must be [total, {self.model_dim}]")
-        if not (len(segments) == len(priors) == len(policies) == len(extends)):
+        if not (
+            len(segments) == len(positions) == len(layers) == len(policies)
+            == len(extends)
+        ):
             raise ValueError(
-                "segments, priors, policies and extends must agree on batch "
-                "size"
+                "segments, positions, layers, policies and extends must agree "
+                "on batch size"
             )
-        if buffers is not None and len(buffers) != len(segments):
-            raise ValueError("buffers must match the batch size")
         total = x.shape[0]
         hd = self.num_heads * self.head_dim
         w_qkv, w_o = self._packed_weights()
         qkv = (x @ w_qkv).reshape(total, 3, self.num_heads, self.head_dim)
 
         head_out = np.empty((total, self.num_heads, self.head_dim))
-        captured = []
-        for b, ((start, length), prior, policy) in enumerate(
-            zip(segments, priors, policies)
+        for b, ((start, length), p, layer, policy) in enumerate(
+            zip(segments, positions, layers, policies)
         ):
             if length < 1:
                 raise ValueError("every segment must cover at least one token")
             rows = slice(start, start + length)
-            q = qkv[rows, 0]
-            if prior is None:
-                p = 0
-            else:
-                prior_k, prior_v, prior_scores = prior
-                p = prior_k.shape[0]
             n = p + length
-            buffer = buffers[b] if buffers is not None else None
+            if n > layer.keys.shape[0]:
+                raise ValueError("chunk extends past the prompt buffers")
+            layer.queries[p:n] = qkv[rows, 0]
+            layer.keys[p:n] = qkv[rows, 1]
+            layer.values[p:n] = qkv[rows, 2]
 
-            # Scaled raw scores [h, n, n]: prior block restored, chunk
-            # query rows computed fresh.  The remaining block (prior
-            # queries x chunk keys) is causally masked everywhere it is
-            # consumed, so it stays zero.
-            if buffer is not None:
-                # In-place accumulation: the prior already occupies the
-                # buffers' first p rows/blocks (written by earlier chunks
-                # or the prefix seed); only this chunk's rows are copied.
-                k_buf, v_buf, s_buf = buffer
-                if n > k_buf.shape[0]:
-                    raise ValueError(
-                        "chunk extends past the preallocated prompt buffers"
-                    )
-                k_buf[p:n] = qkv[rows, 1]
-                v_buf[p:n] = qkv[rows, 2]
-                k_full, v_full = k_buf[:n], v_buf[:n]
-                scores = s_buf[:, :n, :n]
-                chunk_scores = s_buf[:, p:n, :n]
-                np.einsum("qhd,khd->hqk", q, k_full, out=chunk_scores)
-                chunk_scores *= self.scale
-            else:
-                if p == 0:
-                    k_full, v_full = qkv[rows, 1], qkv[rows, 2]
-                else:
-                    k_full = np.concatenate([prior_k, qkv[rows, 1]], axis=0)
-                    v_full = np.concatenate([prior_v, qkv[rows, 2]], axis=0)
-                scores = np.zeros((self.num_heads, n, n))
-                if p:
-                    scores[:, :p, :p] = prior_scores
-                scores[:, p:, :] = (
-                    np.einsum("qhd,khd->hqk", q, k_full) * self.scale
+            need = None if policy is None else policy.prefill_need
+            if need is not None and layer.sums is None:
+                layer.sums = ColumnSums(
+                    need, self.num_heads, layer.keys.shape[0]
                 )
-
-            # Chunk query i sits at position p + i and sees keys <= p + i.
-            visible = np.tril(np.ones((length, n), dtype=bool), k=p)
-            masked = np.where(visible[None, :, :], scores[:, p:, :], -np.inf)
-            probs = softmax(masked, axis=-1)
-            head_out[rows] = np.einsum("hqk,khd->qhd", probs, v_full)
+            sums = layer.sums
+            if sums is not None and sums.rows < p:
+                causal_prefill(
+                    layer.queries[sums.rows:p], layer.keys, layer.values,
+                    sums.rows, self.scale, sums=sums,
+                )
+            causal_prefill(
+                layer.queries[p:n], layer.keys, layer.values, p, self.scale,
+                out=head_out[rows], sums=sums,
+            )
 
             if policy is not None:
                 fed, final, reused, pages = extends[b]
                 policy.prefill_extend(
-                    k_full,
-                    v_full,
-                    attention_matrix=scores,
+                    layer.keys[:n],
+                    layer.values[:n],
+                    token_scores=(
+                        sums.token_scores() if final and sums is not None else None
+                    ),
                     start=fed,
                     final=final,
                     reused_tokens=reused,
                     prefix_pages=pages,
                 )
-            captured.append((k_full, v_full, scores))
 
-        output = head_out.reshape(total, hd) @ w_o
-        return output, captured
+        return head_out.reshape(total, hd) @ w_o
 
     def decode(
         self,
@@ -399,4 +453,9 @@ class MultiHeadSelfAttention:
         )
 
 
-__all__ = ["MultiHeadSelfAttention"]
+__all__ = [
+    "LayerPrefill",
+    "MultiHeadSelfAttention",
+    "PREFILL_ROW_BLOCK",
+    "causal_prefill",
+]

@@ -7,6 +7,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.policy import KVCachePolicy
+from ..core.static_pruning import ColumnSums
 from .attention_layer import MultiHeadSelfAttention
 from .mlp import MLP
 from .ops import layer_norm
@@ -37,42 +38,42 @@ class TransformerBlock:
         self,
         x: np.ndarray,
         policy: Optional[KVCachePolicy] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Process the whole prompt; returns (hidden states, raw attention scores)."""
+    ) -> Tuple[np.ndarray, Optional[ColumnSums]]:
+        """Process the whole prompt; returns (hidden states, the column sums
+        the policy's static stage read — ``None`` without a need)."""
         attn_in = self._norm(x)
-        attn_out, scores = self.attention.prefill(attn_in, policy)
+        attn_out, sums = self.attention.prefill(attn_in, policy)
         x = np.asarray(x, dtype=np.float64) + attn_out
         x = x + self.mlp.forward(self._norm(x))
-        return x, scores
+        return x, sums
 
     def prefill_chunk(
         self,
         x: np.ndarray,
         segments,
-        priors,
+        positions,
+        layers,
         policies,
         extends,
-        buffers=None,
-    ) -> Tuple[np.ndarray, list]:
+    ) -> np.ndarray:
         """Process one prefill chunk of several prompts (padding-free).
 
         Layernorm and the MLP broadcast over the packed chunk rows; the
-        attention layer attends the chunk queries against the accumulated
-        prior K/V (see :meth:`MultiHeadSelfAttention.prefill_chunk`) and
+        attention layer writes each sequence's chunk rows into its
+        prompt-sized buffers ``layers[b]`` at prompt position
+        ``positions[b]``, attends the chunk queries against everything
+        before them (see :meth:`MultiHeadSelfAttention.prefill_chunk`) and
         feeds each policy incrementally through ``prefill_extend`` as
-        ``extends`` describes.  ``buffers`` optionally supplies
-        per-sequence full-prompt accumulation arrays written in place.
-        Returns the packed hidden states of the chunk rows and the
-        per-sequence accumulated ``(keys, values, scores)`` tensors (the
-        next chunk's priors).
+        ``extends`` describes.  Returns the packed hidden states of the
+        chunk rows.
         """
         attn_in = self._norm(x)
-        attn_out, captured = self.attention.prefill_chunk(
-            attn_in, segments, priors, policies, extends, buffers
+        attn_out = self.attention.prefill_chunk(
+            attn_in, segments, positions, layers, policies, extends
         )
         x = np.asarray(x, dtype=np.float64) + attn_out
         x = x + self.mlp.forward(self._norm(x))
-        return x, captured
+        return x
 
     def decode(
         self,

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.group_decode import GroupDecodeStats, group_spans_for
 from ..core.kv_pool import KVPoolGroup, SharedKVPages
 from ..core.policy import FullCachePolicy, KVCachePolicy
-from .attention_layer import MultiHeadSelfAttention
+from .attention_layer import LayerPrefill, MultiHeadSelfAttention
 from .block import TransformerBlock
 from .config import ModelConfig
 from .mlp import MLP
@@ -42,22 +42,17 @@ PositionEncoder = Callable[[np.ndarray], np.ndarray]
 class PrefillState:
     """Accumulated state of one partially prefilled prompt.
 
-    ``layers[l]`` holds the layer-``l`` ``(keys [p, h, d], values [p, h, d],
-    scaled raw scores [h, p, p])`` tensors covering the first ``processed``
-    prompt tokens — the *prior* the next chunk's queries attend against.
-    The dense accumulation is required for chunk-size invariance: pruning
-    policies must see the *unpruned* prompt tensors at their final-chunk
-    selection, so the state cannot be rebuilt from a policy's (possibly
-    pruned) pool pages.  Its footprint matches a whole-prompt prefill's
-    captured tensors (the ``[h, n, n]`` score block dominates either way).
-
-    ``buffers``, when set (see :meth:`preallocate`), are full-prompt-sized
-    per-layer ``(keys [N, h, d], values [N, h, d], scores [h, N, N])``
-    arrays that chunk iterations write *in place*; ``layers`` are then
-    growing views into them, so absorbing an ``N``-token prompt copies
-    each row and score block once instead of once per remaining chunk.
-    Without buffers each chunk concatenates/copies the accumulated state —
-    correct, but Theta(chunks x N^2) traffic on long prompts.
+    ``layers[l]`` is layer ``l``'s :class:`~repro.llm.attention_layer.LayerPrefill`:
+    prompt-sized ``[N, h, d]`` key, value and query buffers whose first
+    ``processed`` rows are filled, plus the ``[h, N]`` column-sum
+    accumulator its policy's static stage reads
+    (:class:`~repro.core.static_pruning.ColumnSums`).  Chunk iterations
+    write their rows in place and fold their attention probabilities into
+    the sums as they compute them, so absorbing an ``N``-token prompt
+    copies each row once and the whole state is O(N): no ``[h, N, N]``
+    score matrix is ever kept.  Pruning policies must see the *unpruned*
+    prompt rows at their final-chunk selection, so the state cannot be
+    rebuilt from a policy's (possibly pruned) pool pages.
 
     ``fed`` counts the rows already handed to the policies via
     ``prefill_extend``; ``reused_tokens``/``prefix_pages`` describe a
@@ -66,26 +61,25 @@ class PrefillState:
     page adoption happens).
     """
 
-    layers: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    layers: List[LayerPrefill]
     processed: int = 0
     fed: int = 0
     reused_tokens: int = 0
     prefix_pages: Optional[List[Optional["SharedKVPages"]]] = None
-    buffers: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
 
-    @classmethod
-    def from_prefix(cls, prefix: Sequence[tuple]) -> "PrefillState":
-        """Seed a state from per-layer prefix tuples ``(k, v, scores[, pages])``."""
-        layers = [(k, v, scores) for k, v, scores, *_ in prefix]
-        pages = [layer[3] if len(layer) > 3 else None for layer in prefix]
-        p = int(layers[0][0].shape[0])
-        return cls(
-            layers=layers,
-            processed=p,
-            fed=0,
-            reused_tokens=p,
-            prefix_pages=pages if any(pg is not None for pg in pages) else None,
-        )
+    @property
+    def total_tokens(self) -> int:
+        """The prompt length the buffers are sized to."""
+        return int(self.layers[0].keys.shape[0])
+
+    def prompt_rows(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per-layer ``(keys, values, queries)`` of the processed rows — the
+        prefix-cache insertion payload once the prompt is complete."""
+        n = self.processed
+        return [
+            (layer.keys[:n], layer.values[:n], layer.queries[:n])
+            for layer in self.layers
+        ]
 
     @classmethod
     def preallocate(
@@ -96,24 +90,18 @@ class PrefillState:
         head_dim: int,
         prefix: Optional[Sequence[tuple]] = None,
     ) -> "PrefillState":
-        """An empty (or prefix-seeded) state with in-place chunk buffers.
+        """An empty (or prefix-seeded) state sized to the whole prompt.
 
-        ``total_tokens`` must be the prompt's full length; a reused prefix
-        is copied into the buffers once, here, and later chunks append
-        after it.
+        ``total_tokens`` must be the prompt's full length.  ``prefix``
+        optionally gives per-layer ``(keys, values, queries[, pages])``
+        rows of a reused prefix, copied into the buffers once, here; later
+        chunks append after it.
         """
-        if total_tokens < 1:
-            raise ValueError("total_tokens must be >= 1")
-        buffers = [
-            (
-                np.zeros((total_tokens, num_heads, head_dim)),
-                np.zeros((total_tokens, num_heads, head_dim)),
-                np.zeros((num_heads, total_tokens, total_tokens)),
-            )
+        layers = [
+            LayerPrefill.allocate(total_tokens, num_heads, head_dim)
             for _ in range(num_layers)
         ]
         p = 0
-        reused = 0
         pages: List[Optional["SharedKVPages"]] = [None] * num_layers
         if prefix is not None:
             if len(prefix) != num_layers:
@@ -121,26 +109,18 @@ class PrefillState:
             p = int(prefix[0][0].shape[0])
             if p >= total_tokens:
                 raise ValueError("prefix must be strictly shorter than the prompt")
-            reused = p
-            for layer, entry in enumerate(prefix):
-                keys, values, scores = entry[0], entry[1], entry[2]
-                buf_k, buf_v, buf_s = buffers[layer]
-                buf_k[:p] = keys
-                buf_v[:p] = values
-                buf_s[:, :p, :p] = scores
+            for index, (layer, entry) in enumerate(zip(layers, prefix)):
+                layer.keys[:p] = entry[0]
+                layer.values[:p] = entry[1]
+                layer.queries[:p] = entry[2]
                 if len(entry) > 3:
-                    pages[layer] = entry[3]
-        layers = [
-            (buf_k[:p], buf_v[:p], buf_s[:, :p, :p])
-            for buf_k, buf_v, buf_s in buffers
-        ]
+                    pages[index] = entry[3]
         return cls(
             layers=layers,
             processed=p,
             fed=0,
-            reused_tokens=reused,
+            reused_tokens=p,
             prefix_pages=pages if any(pg is not None for pg in pages) else None,
-            buffers=buffers,
         )
 
 
@@ -303,23 +283,24 @@ class TransformerLM:
         """Run one chunk iteration for ``B`` independent in-flight prefills.
 
         ``chunks[b]`` is sequence ``b``'s next span of prompt token ids;
-        ``states[b]`` is its accumulated :class:`PrefillState` (``None``
-        for the first chunk) and ``finals[b]`` marks the chunk that
-        completes the prompt.  All chunks' tokens are embedded and pushed
-        through every layer as one packed ragged batch — one packed Q/K/V
-        GEMM and one packed output GEMM over the scheduled chunk rows —
-        while each sequence's chunk queries attend against its own
-        accumulated prior K/V.  A whole-prompt prefill is one call with
-        ``states[b] = None`` and ``finals[b] = True``.  Policies are fed
-        incrementally via ``prefill_extend`` (final-chunk semantics are
-        identical to the serial :meth:`prefill` for every backend).
+        ``states[b]`` is its accumulated :class:`PrefillState`, sized to
+        the whole prompt, and ``finals[b]`` marks the chunk that completes
+        the prompt.  ``states[b] = None`` is allowed for a final chunk only:
+        the chunk is then the whole prompt and its state is built here.
+        All chunks' tokens are embedded and pushed through every layer as
+        one packed ragged batch — one packed Q/K/V GEMM and one packed
+        output GEMM over the scheduled chunk rows — while each sequence's
+        chunk queries attend against its own accumulated prior K/V.
+        Policies are fed incrementally via ``prefill_extend`` (final-chunk
+        semantics are identical to the serial :meth:`prefill` for every
+        backend).
 
-        Returns ``(logits, new_states)``: ``logits[b]`` is the next-token
+        Returns ``(logits, states)``: ``logits[b]`` is the next-token
         distribution ``[vocab]`` for final chunks (``None`` otherwise — the
         unembedding of intermediate rows is never needed), and
-        ``new_states[b]`` the state to carry into the next iteration.  At
-        the final chunk ``new_states[b].layers`` holds the whole prompt's
-        per-layer ``(keys, values, scores)`` — the prefix-cache insertion
+        ``states[b]`` the state to carry into the next iteration (advanced
+        in place).  At the final chunk
+        :meth:`PrefillState.prompt_rows` is the prefix-cache insertion
         payload.
         """
         batch = len(chunks)
@@ -334,75 +315,61 @@ class TransformerLM:
             if policies is not None and len(policies) != self.config.num_layers:
                 raise ValueError("one policy per layer is required")
 
+        config = self.config
         chunk_lists = [[int(t) for t in chunk] for chunk in chunks]
+        states = list(states)
         segments: List[tuple] = []
         tokens: List[int] = []
         positions: List[int] = []
-        for chunk, state in zip(chunk_lists, states):
+        for b, chunk in enumerate(chunk_lists):
             if len(chunk) < 1:
                 raise ValueError("every chunk must contain at least one token")
-            processed = 0 if state is None else state.processed
+            if states[b] is None:
+                if not finals[b]:
+                    raise ValueError(
+                        "a prompt prefilled over several chunks needs a "
+                        "PrefillState sized to the whole prompt"
+                    )
+                states[b] = PrefillState.preallocate(
+                    config.num_layers, len(chunk), config.num_heads,
+                    config.head_dim,
+                )
+            state = states[b]
+            end = state.processed + len(chunk)
+            if end > state.total_tokens or (finals[b] and end != state.total_tokens):
+                raise ValueError("chunks must add up to the prompt the state is sized to")
             start = len(tokens)
             tokens.extend(chunk)
-            positions.extend(range(processed, processed + len(chunk)))
+            positions.extend(range(state.processed, end))
             segments.append((start, len(chunk)))
 
         x = self.embed(tokens, positions)
-        captured_per_sequence: List[list] = [[] for _ in range(batch)]
+        starts = [state.processed for state in states]
         for layer, block in enumerate(self.blocks):
-            layer_priors = [
-                None
-                if state is None or state.processed == 0
-                else state.layers[layer]
-                for state in states
-            ]
             layer_policies = [
                 None if p is None else p[layer] for p in policies_per_sequence
             ]
             layer_extends = []
             for b, state in enumerate(states):
-                fed = 0 if state is None else state.fed
-                reused = 0 if state is None else state.reused_tokens
                 pages = None
-                if (
-                    state is not None
-                    and state.prefix_pages is not None
-                    and fed == 0
-                ):
+                if state.prefix_pages is not None and state.fed == 0:
                     pages = state.prefix_pages[layer]
-                layer_extends.append((fed, bool(finals[b]), reused, pages))
-            layer_buffers = [
-                None
-                if state is None or state.buffers is None
-                else state.buffers[layer]
-                for state in states
-            ]
-            x, captured = block.prefill_chunk(
-                x, segments, layer_priors, layer_policies, layer_extends,
-                layer_buffers,
+                layer_extends.append(
+                    (state.fed, bool(finals[b]), state.reused_tokens, pages)
+                )
+            x = block.prefill_chunk(
+                x, segments, starts,
+                [state.layers[layer] for state in states],
+                layer_policies, layer_extends,
             )
-            for b in range(batch):
-                captured_per_sequence[b].append(captured[b])
 
-        new_states: List[PrefillState] = []
-        logits: List[Optional[np.ndarray]] = []
+        logits: List[Optional[np.ndarray]] = [None] * batch
         final_rows = []
         final_indices = []
-        for b, (state, chunk, (start, length)) in enumerate(
-            zip(states, chunk_lists, segments)
-        ):
-            total = (0 if state is None else state.processed) + len(chunk)
-            new_states.append(
-                PrefillState(
-                    layers=captured_per_sequence[b],
-                    processed=total,
-                    fed=total,
-                    reused_tokens=0 if state is None else state.reused_tokens,
-                    prefix_pages=None,  # consumed by this chunk's policy feed
-                    buffers=None if state is None else state.buffers,
-                )
-            )
-            logits.append(None)
+        for b, (state, (start, length)) in enumerate(zip(states, segments)):
+            state.processed += length
+            state.fed = state.processed
+            state.prefix_pages = None  # consumed by this chunk's policy feed
             if finals[b]:
                 final_rows.append(x[start + length - 1])
                 final_indices.append(b)
@@ -410,7 +377,7 @@ class TransformerLM:
             final_logits = self.logits_from_hidden(np.stack(final_rows))
             for row, b in enumerate(final_indices):
                 logits[b] = final_logits[row]
-        return logits, new_states
+        return logits, states
 
     def decode_step(
         self,

@@ -28,7 +28,9 @@ def layer_norm(
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian error linear unit (tanh approximation)."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    # ``x * x * x``, not ``x**3``: the float power calls ``pow`` per element.
+    cube = x * x * x
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * cube)))
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:

@@ -827,7 +827,9 @@ class BatchedEngine:
             if seq.resume is None:
                 # A resume's pseudo-prompt (prompt + generated tokens) is
                 # not a reusable prompt; keep it out of the prefix cache.
-                self._cache_insert(seq.prompt, seq.state.layers, seq.policies)
+                self._cache_insert(
+                    seq.prompt, seq.state.prompt_rows(), seq.policies
+                )
         if seq.resume is not None:
             self._promote_resumed(seq, logits)
             return

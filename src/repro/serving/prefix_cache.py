@@ -2,14 +2,13 @@
 
 Many-user serving workloads repeat long prompt prefixes (a system prompt, a
 shared document, few-shot examples).  The dense prefill of those tokens is a
-pure function of the token ids — the per-layer keys, values and prefill
-attention scores of a prefix do not depend on what follows it (causal
-attention) or on the request's KV cache policy (policies only *consume* the
-prefill outputs).  :class:`PrefixCache` exploits that: it remembers, for
-recently prefilled prompts, the per-layer K/V tensors and the scaled raw
-prefill-score block of every prefix, so a new request that shares a prefix
-only has to compute its suffix tokens
-(:meth:`repro.llm.model.TransformerLM.prefill_chunk_batched`).
+pure function of the token ids — the per-layer queries, keys and values of
+a prefix do not depend on what follows it (causal attention) or on the
+request's KV cache policy (policies only *consume* the prefill outputs).
+:class:`PrefixCache` exploits that: it remembers, for recently prefilled
+prompts, the per-layer K/V rows and query rows of every prefix, so a new
+request that shares a prefix only has to run its suffix tokens through the
+model (:meth:`repro.llm.model.TransformerLM.prefill_chunk_batched`).
 
 Entries are keyed by the prompt token tuple; a lookup returns the longest
 cached common prefix, capped at ``len(prompt) - 1`` so the final prompt
@@ -20,19 +19,21 @@ rejected — slicing bookkeeping would cost more than the skipped GEMM rows.
 Each layer of an entry holds the prompt's K/V rows as refcounted *pool
 pages* (:class:`~repro.core.kv_pool.SharedKVPages`) in the serving
 engine's :class:`~repro.core.kv_pool.KVPoolGroup`, plus an owned copy of
-the *scaled* raw prefill attention scores ``[h, n, n]`` exactly as
-:meth:`repro.llm.attention_layer.MultiHeadSelfAttention.prefill` hands them
-to a policy.  Only the causally visible part of the score block is ever
-consumed downstream (``accumulated_scores_from_attention`` masks the upper
-triangle), which is what makes the top-left block of a longer prompt's
-score matrix reusable for any continuation.
+its query rows ``[n, h, d]`` — O(n) bytes, the size of the keys.  A
+pruning policy's static stage needs column sums over the prefix's query
+rows (:class:`~repro.core.static_pruning.ColumnSums`); a hit can land at
+any prefix length ``p``, and the sums over rows ``< p`` cannot be derived
+from a longer prompt's sums, so the admitted request rebuilds them by
+replaying the cached queries against the cached keys through the prefill
+kernel (:func:`repro.llm.attention_layer.causal_prefill`).  Requests whose
+policy reads no scores skip the replay.
 
 A hit hands the page run to the admitted sequence, whose
 whole-prompt-retaining policies adopt the pages zero-copy: the prefix's KV
 occupies pool memory once however many sequences share it, at admission
 *and* for the rest of decode.  Pages stay shared until a sharer overwrites
 one (copy-on-write split) and are freed when the last reference — cache
-entry or sequence — drops.  The score blocks are prefill-only and never
+entry or sequence — drops.  The query rows are prefill-only and never
 shared with decode.
 """
 
@@ -51,8 +52,8 @@ from ..core.kv_pool import (
 )
 
 LayerPrefillState = Tuple[np.ndarray, np.ndarray, np.ndarray]
-"""Per-layer prefill tensors: ``(keys [n, h, d], values [n, h, d], scaled
-raw attention scores [h, n, n])``."""
+"""Per-layer prefill rows: ``(keys [n, h, d], values [n, h, d], queries
+[n, h, d])``."""
 
 LayerPrefixState = Tuple[np.ndarray, np.ndarray, np.ndarray, SharedKVPages]
 """A :data:`LayerPrefillState` extended with the shared pool pages holding
@@ -68,35 +69,31 @@ def common_prefix_length(a: Sequence[int], b: Sequence[int]) -> int:
     return limit
 
 
-def _owned(array: np.ndarray) -> np.ndarray:
-    """A float64 array that owns its memory.
-
-    Captured prefill score blocks can be basic-indexing views into a
-    larger buffer; storing the view would pin that buffer for the entry's
-    lifetime and make :meth:`PrefixCache.memory_bytes` lie.
-    """
-    arr = np.asarray(array, dtype=np.float64)
-    if arr.base is not None:
-        arr = arr.copy()
-    return arr
-
-
 @dataclass
 class _CachedLayer:
-    """One layer of a cache entry: owned prefill scores + K/V pool pages."""
+    """One layer of a cache entry: owned query rows + K/V pool pages.
 
-    scores: np.ndarray
+    The query rows are a copy: the prefill's are views into its prompt
+    buffers, which a stored view would pin for the entry's lifetime.
+    """
+
+    queries: np.ndarray
     pages: SharedKVPages
+
+    @classmethod
+    def build(cls, queries: np.ndarray, pages: SharedKVPages) -> "_CachedLayer":
+        return cls(queries=np.array(queries, dtype=np.float64), pages=pages)
 
 
 @dataclass
 class SequencePrefix:
     """The reusable prefix handed to the packed prefill.
 
-    ``layers[l]`` holds the layer-``l`` prefill tensors sliced to the first
-    ``length`` tokens of the prompt; ``pages[l]`` is the shared pool-page
-    run holding the same K/V rows, which whole-prompt-retaining policies
-    adopt zero-copy instead of re-storing them.
+    ``layers[l]`` holds the layer-``l`` prefill rows ``(keys, values,
+    queries)`` of the first ``length`` tokens of the prompt; ``pages[l]``
+    is the shared pool-page run holding the same K/V rows, which
+    whole-prompt-retaining policies adopt zero-copy instead of re-storing
+    them.
 
     A prefix is *pinned*: :meth:`PrefixCache.lookup` takes one page
     reference per layer on the consumer's behalf, so the pages survive
@@ -111,10 +108,10 @@ class SequencePrefix:
     _pinned: bool = True
 
     def layer_states(self) -> List[LayerPrefixState]:
-        """Per-layer ``(keys, values, scores, pages)`` prefill inputs."""
+        """Per-layer ``(keys, values, queries, pages)`` prefill inputs."""
         return [
-            (keys, values, scores, shared)
-            for (keys, values, scores), shared in zip(self.layers, self.pages)
+            (keys, values, queries, shared)
+            for (keys, values, queries), shared in zip(self.layers, self.pages)
         ]
 
     def release(self) -> None:
@@ -150,7 +147,7 @@ class PrefixCacheStats:
 
 
 class PrefixCache:
-    """LRU cache of per-layer prefill tensors keyed by prompt token ids.
+    """LRU cache of per-layer prefill rows keyed by prompt token ids.
 
     Parameters
     ----------
@@ -166,12 +163,10 @@ class PrefixCache:
         Shortest shared prefix worth reusing.  Lookups that would reuse
         fewer tokens report a miss.
     max_bytes:
-        Byte budget for the stored tensors (score blocks plus the
-        codec-true bytes of held pages).  The per-entry score blocks are
-        O(heads * n^2) per layer, so long distinct prompts would otherwise
-        grow the cache far faster than ``max_entries`` suggests; the least
-        recently used entries are dropped until the budget holds, and an
-        entry larger than the whole budget is never stored.
+        Byte budget for the stored rows (query rows plus the codec-true
+        bytes of held pages), O(heads * head_dim * n) per layer and entry.
+        The least recently used entries are dropped until the budget
+        holds, and an entry larger than the whole budget is never stored.
     """
 
     def __init__(
@@ -211,7 +206,7 @@ class PrefixCache:
         return len(self._entries)
 
     def memory_bytes(self) -> int:
-        """Bytes held by the cached entries (score blocks + held pages)."""
+        """Bytes held by the cached entries (query rows + held pages)."""
         return self._total_bytes
 
     def pages_held(self, layer: int) -> int:
@@ -312,7 +307,7 @@ class PrefixCache:
         for cached in entry:
             shared = cached.pages.prefix(p)
             keys, values = shared.materialize()
-            layers.append((keys, values, cached.scores[:, :p, :p]))
+            layers.append((keys, values, cached.queries[:p]))
             shared.incref()  # pin for the consumer; released after use
             pages.append(shared)
         return SequencePrefix(length=p, layers=layers, pages=pages)
@@ -332,7 +327,7 @@ class PrefixCache:
         layers: Sequence[LayerPrefillState],
         shared_pages: Optional[Sequence[SharedKVPages]] = None,
     ) -> bool:
-        """Store a freshly prefilled prompt's per-layer tensors.
+        """Store a freshly prefilled prompt's per-layer rows.
 
         Returns ``False`` (and stores nothing) when an existing entry
         already covers the whole prompt — a longer or identical cached
@@ -355,9 +350,9 @@ class PrefixCache:
         allocated pages are returned.
 
         Prompts that share a prefix but diverge (distinct suffixes) each
-        keep their own full entry — including the O(n^2)-per-layer score
-        block — so memory grows with the number of *distinct* prompts, not
-        with sharing; ``max_entries`` bounds it.
+        keep their own full entry — including the query rows — so memory
+        grows with the number of *distinct* prompts, not with sharing;
+        ``max_entries`` and ``max_bytes`` bound it.
         """
         key = tuple(int(t) for t in token_ids)
         if shared_pages is not None:
@@ -431,14 +426,14 @@ class PrefixCache:
             # By-reference entry: the handles already own one reference per
             # page; no pool writes, no exhaustion path.
             return [
-                _CachedLayer(scores=_owned(scores), pages=shared)
-                for (keys, values, scores), shared in zip(layers, shared_pages)
+                _CachedLayer.build(queries, shared)
+                for (_keys, _values, queries), shared in zip(layers, shared_pages)
             ]
         entry: List[_CachedLayer] = []
         try:
-            for layer_index, (keys, values, scores) in enumerate(layers):
+            for layer_index, (keys, values, queries) in enumerate(layers):
                 shared = self._write_pages(layer_index, keys, values)
-                entry.append(_CachedLayer(scores=_owned(scores), pages=shared))
+                entry.append(_CachedLayer.build(queries, shared))
         except PoolExhaustedError:
             self._release_entry(entry)
             return None
@@ -469,7 +464,7 @@ class PrefixCache:
         # metadata (plus any full-precision overlay a page carries), so the
         # cache byte limit buys proportionally more prefixes.
         pool = cached.pages.pool
-        return int(cached.scores.nbytes) + sum(
+        return int(cached.queries.nbytes) + sum(
             pool.page_bytes_of(p) for p in cached.pages.page_ids
         )
 

@@ -709,34 +709,23 @@ class Scheduler:
                 self._pending.appendleft(request)
 
     def _setup_prefill_state(self, seq: PrefillingSequence) -> None:
-        """Attach the accumulated-state buffers a prefill needs.
+        """Size the prompt's prefill buffers and seed a reused prefix.
 
-        Chunked prompts preallocate the in-place accumulation buffers so
-        each chunk appends instead of re-copying the accumulated state;
-        unchunked prompts with a reused prefix seed the state from the
-        cached layer tensors.
+        The state is O(prompt length) — K/V/Q rows plus the policies'
+        column sums — so every prompt gets one at admission, chunked or
+        not, and chunks write into it in place.
         """
+        from ..llm.model import PrefillState  # local: avoids cycle
+
+        config = self.model.config
         prefix = seq.prefix
-        chunked = (
-            self.policy.max_tokens_per_step is not None
-            and len(seq.prompt) - seq.done > 1
+        seq.state = PrefillState.preallocate(
+            config.num_layers,
+            len(seq.prompt),
+            config.num_heads,
+            config.head_dim,
+            prefix=prefix.layer_states() if prefix is not None else None,
         )
-        if chunked:
-            from ..llm.model import PrefillState  # local: avoids cycle
-
-            seq.state = PrefillState.preallocate(
-                self.model.config.num_layers,
-                len(seq.prompt),
-                self.model.config.num_heads,
-                self.model.config.head_dim,
-                prefix=(
-                    prefix.layer_states() if prefix is not None else None
-                ),
-            )
-        elif prefix is not None:
-            from ..llm.model import PrefillState  # local: avoids cycle
-
-            seq.state = PrefillState.from_prefix(prefix.layer_states())
 
     def _resume_preempted(
         self,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.baselines import H2OPolicy
 from repro.core.policy import FullCachePolicy
 from repro.llm.attention_layer import MultiHeadSelfAttention
 from repro.llm.block import TransformerBlock
@@ -25,9 +26,12 @@ class TestMultiHeadSelfAttention:
 
     def test_prefill_output_shape(self, rng):
         attn = MultiHeadSelfAttention(model_dim=16, num_heads=2, head_dim=4, seed=0)
-        out, scores = attn.prefill(rng.normal(size=(7, 16)))
+        x = rng.normal(size=(7, 16))
+        out, sums = attn.prefill(x)
         assert out.shape == (7, 16)
-        assert scores.shape == (2, 7, 7)
+        assert sums is None  # no policy, no column sums
+        _, sums = attn.prefill(x, H2OPolicy(2, 4))
+        assert sums.sums.shape == (2, 7)  # O(n) per head, no [h, n, n]
 
     def test_prefill_is_causal(self, rng):
         """Changing a future token must not change an earlier position's output."""

@@ -153,23 +153,28 @@ class TestPrefillChunkBatched:
             assert int(np.argmax(logits[b])) == int(np.argmax(serial_logits))
             assert states[b].processed == states[b].fed == len(prompt)
             assert len(states[b].layers) == model.config.num_layers
-            keys, values, scores = states[b].layers[0]
+            keys, values, queries = states[b].prompt_rows()[0]
             n = len(prompt)
-            assert keys.shape == values.shape == (n, 2, 16)
-            assert scores.shape == (2, n, n)
+            assert keys.shape == values.shape == queries.shape == (n, 2, 16)
 
     def test_reused_prefix_matches_cold_prefill(self, model, shared_prefix_prompts):
         leader, follower = shared_prefix_prompts[0], shared_prefix_prompts[1]
         _, states = prefill_whole(model, [leader], [model.make_policies(None)])
         p = common_prefix_length(leader, follower)
         prefix_layers = [
-            (keys[:p], values[:p], scores[:, :p, :p])
-            for keys, values, scores in states[0].layers
+            (keys[:p], values[:p], queries[:p])
+            for keys, values, queries in states[0].prompt_rows()
         ]
+        config = model.config
         warm_policies = model.make_policies(None)
         warm_logits, _ = prefill_whole(
             model, [follower], [warm_policies],
-            [PrefillState.from_prefix(prefix_layers)],
+            [
+                PrefillState.preallocate(
+                    config.num_layers, len(follower), config.num_heads,
+                    config.head_dim, prefix=prefix_layers,
+                )
+            ],
         )
         cold_policies = model.make_policies(None)
         cold_logits = model.prefill(follower, cold_policies)
@@ -188,7 +193,7 @@ class TestPrefillChunkBatched:
         with pytest.raises(ValueError):
             PrefillState.preallocate(
                 config.num_layers, len(prompt), config.num_heads,
-                config.head_dim, prefix=states[0].layers,
+                config.head_dim, prefix=states[0].prompt_rows(),
             )
 
     def test_empty_batch(self, model):
@@ -261,7 +266,7 @@ class TestPrefixCacheUnit:
     @staticmethod
     def cache(**kwargs):
         """A one-layer cache over 4-token pages: an entry of 4 or 8 tokens
-        then costs exactly its K/V row bytes plus its score block."""
+        then costs exactly its K/V row bytes plus its query rows."""
         return PrefixCache(KVPoolGroup(1, 4, 2, 4, num_pages=64), **kwargs)
 
     def layer_state(self, n, heads=2, dim=4, seed=0):
@@ -270,7 +275,7 @@ class TestPrefixCacheUnit:
             (
                 rng.normal(size=(n, heads, dim)),
                 rng.normal(size=(n, heads, dim)),
-                rng.normal(size=(heads, n, n)),
+                rng.normal(size=(n, heads, dim)),
             )
         ]
 
@@ -280,9 +285,8 @@ class TestPrefixCacheUnit:
         cache.insert(list(range(5)), self.layer_state(5))
         hit = cache.lookup(list(range(8)) + [99, 98])
         assert hit is not None and hit.length == 8
-        keys, values, scores = hit.layers[0]
-        assert keys.shape[0] == values.shape[0] == 8
-        assert scores.shape[1:] == (8, 8)
+        keys, values, queries = hit.layers[0]
+        assert keys.shape[0] == values.shape[0] == queries.shape[0] == 8
         # A fully covered prompt still recomputes its last token.
         full = cache.lookup(list(range(10)))
         assert full is not None and full.length == 9
@@ -331,7 +335,7 @@ class TestPrefixCacheUnit:
 
     def test_oversized_insert_does_not_purge_superseded_entries(self):
         state = self.layer_state(4)
-        entry_bytes = sum(k.nbytes + v.nbytes + s.nbytes for k, v, s in state)
+        entry_bytes = sum(k.nbytes + v.nbytes + q.nbytes for k, v, q in state)
         cache = self.cache(min_prefix_tokens=2, max_bytes=entry_bytes)
         assert cache.insert([1, 2, 3, 4], state)
         # Extending the cached prefix with an entry too big to store must
@@ -347,17 +351,20 @@ class TestPrefixCacheUnit:
         assert common_prefix_length([], [1]) == 0
 
     def test_entries_own_their_memory(self, model):
-        """Inserted score blocks must be copies, not views pinning the
+        """Inserted query rows must be copies, not views pinning the
         prefill's buffers; K/V rows live in pool pages."""
         cache = PrefixCache(model_pools(model), min_prefix_tokens=2)
         prompts = [[1, 2, 3, 4, 5], [6, 7, 8, 9]]
         _, states = prefill_whole(
             model, prompts, [model.make_policies(None) for _ in prompts]
         )
-        cache.insert(prompts[0], states[0].layers)
+        cache.insert(prompts[0], states[0].prompt_rows())
         entry = cache._entries[tuple(prompts[0])]
-        for cached, (keys, values, _) in zip(entry, states[0].layers):
-            assert cached.scores.base is None
+        for cached, (keys, values, queries) in zip(
+            entry, states[0].prompt_rows()
+        ):
+            assert cached.queries.base is None
+            np.testing.assert_array_equal(cached.queries, queries)
             paged_keys, paged_values = cached.pages.materialize()
             np.testing.assert_array_equal(paged_keys, keys)
             np.testing.assert_array_equal(paged_values, values)
@@ -377,7 +384,7 @@ class TestPrefixCacheUnit:
 
     def test_max_bytes_budget_evicts_lru(self):
         state = self.layer_state(8)
-        entry_bytes = sum(k.nbytes + v.nbytes + s.nbytes for k, v, s in state)
+        entry_bytes = sum(k.nbytes + v.nbytes + q.nbytes for k, v, q in state)
         cache = self.cache(min_prefix_tokens=2, max_bytes=2 * entry_bytes)
         cache.insert([1, 2, 3, 4, 5, 6, 7, 8], self.layer_state(8, seed=1))
         cache.insert([11, 12, 13, 14, 15, 16, 17, 18], self.layer_state(8, seed=2))
@@ -390,7 +397,7 @@ class TestPrefixCacheUnit:
 
     def test_oversized_entry_is_not_stored(self):
         state = self.layer_state(8)
-        entry_bytes = sum(k.nbytes + v.nbytes + s.nbytes for k, v, s in state)
+        entry_bytes = sum(k.nbytes + v.nbytes + q.nbytes for k, v, q in state)
         cache = self.cache(min_prefix_tokens=2, max_bytes=entry_bytes - 1)
         assert not cache.insert([1, 2, 3, 4, 5, 6, 7, 8], state)
         assert len(cache) == 0
