@@ -63,12 +63,19 @@ def causal_prefill(
     k_h = keys.transpose(1, 2, 0)  # [h, d, N]
     v_h = values.transpose(1, 0, 2)  # [h, N, d]
     raw = sums is not None and not sums.need.softmax
+    # One workspace for every block: a fresh array per block would keep
+    # two blocks alive across each iteration's rebinding.
+    workspace = np.empty(
+        num_heads * (min(m, PREFILL_ROW_BLOCK) + 1) * (start + m)
+    )
     for r0 in range(0, m, PREFILL_ROW_BLOCK):
         r1 = min(m, r0 + PREFILL_ROW_BLOCK)
         rows = r1 - r0
         n = start + r1  # keys visible to the block's last row
         # Index 0 is ColumnSums.fold's spare row; query rows follow.
-        block = np.empty((num_heads, rows + 1, n))
+        block = workspace[: num_heads * (rows + 1) * n].reshape(
+            num_heads, rows + 1, n
+        )
         scores = block[:, 1:, :]
         np.matmul(q_h[:, r0:r1], k_h[:, :, :n], out=scores)
         scores *= scale

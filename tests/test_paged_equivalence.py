@@ -14,6 +14,9 @@ exercised here too.
 import numpy as np
 import pytest
 
+from repro.core.baselines import SnapKVPolicy
+from repro.core.config import PruningConfig
+from repro.core.hybrid import UniCAIMPolicy
 from repro.core.kv_pool import KVPoolGroup
 from repro.eval.harness import POLICY_NAMES, build_policy_factory
 from repro.llm.config import ModelConfig
@@ -23,6 +26,30 @@ from repro.serving import BatchedEngine, PrefixCache, ServingRequest
 
 VOCAB = 89
 HEADS, HEAD_DIM, LAYERS = 2, 8, 2
+
+
+# Beyond the harness's policy set: the two static-stage reductions its
+# policies do not reach.  UniCAIM's charge-domain mode sums raw scores
+# instead of softmax mass, and a SnapKV observation window of 8 rows
+# reaches back into the 14-token shared prefix, so a prefix hit rebuilds
+# part of the window from the cached queries.
+EXTRA_POLICIES = ("unicaim_raw", "snapkv_window8")
+
+
+def policy_factory(name, prompt_length):
+    if name == "unicaim_raw":
+        config = PruningConfig(
+            heavy_budget=8, reserved_budget=2, top_k=4, sink_tokens=2,
+            recent_protect=4, use_softmax_scores=False,
+        )
+        return lambda heads, dim: UniCAIMPolicy(heads, dim, config=config)
+    if name == "snapkv_window8":
+        return lambda heads, dim: SnapKVPolicy(
+            heads, dim, prompt_budget=10, observation_window=8
+        )
+    return build_policy_factory(
+        name, prompt_length=prompt_length, cache_ratio=0.6
+    )
 
 
 @pytest.fixture(scope="module")
@@ -119,15 +146,12 @@ def assert_stats_identical(serial, paged):
 
 
 class TestPagedSerialEquivalence:
-    @pytest.mark.parametrize("policy_name", POLICY_NAMES)
+    @pytest.mark.parametrize("policy_name", POLICY_NAMES + EXTRA_POLICIES)
     @pytest.mark.parametrize("batch_size", [1, 4, 16])
     def test_tokens_and_stats_identical(
         self, model, shared_prefix_prompts, policy_name, batch_size
     ):
-        factory = build_policy_factory(
-            policy_name, prompt_length=len(shared_prefix_prompts[0]),
-            cache_ratio=0.6,
-        )
+        factory = policy_factory(policy_name, len(shared_prefix_prompts[0]))
         serial = serial_reference(model, shared_prefix_prompts, factory)
         engine, paged = run_engine(
             model, shared_prefix_prompts, kv_pools=make_pools(),

@@ -92,6 +92,24 @@ def snapkv_factory(heads, dim):
     return SnapKVPolicy.from_budget(heads, dim, budget=16, observation_window=8)
 
 
+def unicaim_raw_factory(heads, dim):
+    """UniCAIM's charge-domain mode: raw column sums, not softmax mass."""
+    return UniCAIMPolicy(
+        heads,
+        dim,
+        config=PruningConfig(
+            heavy_budget=10, reserved_budget=4, top_k=6,
+            sink_tokens=1, recent_protect=2, use_softmax_scores=False,
+        ),
+    )
+
+
+def snapkv_deep_window_factory(heads, dim):
+    """A 16-row observation window: on a hit over the 40-token shared
+    prefix, 4 to 13 of its rows come from the replayed prefix queries."""
+    return SnapKVPolicy(heads, dim, prompt_budget=24, observation_window=16)
+
+
 def streaming_factory(heads, dim):
     return StreamingLLMPolicy.from_budget(heads, dim, budget=16, sink_tokens=2)
 
@@ -106,7 +124,8 @@ def quest_factory(heads, dim):
 
 # One factory per entry of repro.eval.harness.POLICY_NAMES — the acceptance
 # criterion requires prefix reuse to be token-identical for every policy the
-# harness can serve, since evaluate_policy enables it by default.
+# harness can serve, since evaluate_policy enables it by default — plus the
+# two static-stage reductions those policies do not reach.
 POLICY_FACTORIES = [
     pytest.param(None, id="full"),
     pytest.param(unicaim_factory, id="unicaim"),
@@ -115,6 +134,8 @@ POLICY_FACTORIES = [
     pytest.param(streaming_factory, id="streaming_llm"),
     pytest.param(h2o_factory, id="h2o"),
     pytest.param(quest_factory, id="quest"),
+    pytest.param(unicaim_raw_factory, id="unicaim_raw"),
+    pytest.param(snapkv_deep_window_factory, id="snapkv_deep_window"),
 ]
 
 
