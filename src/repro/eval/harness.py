@@ -242,7 +242,7 @@ def evaluate_policy(
     storage quantisation alone.
 
     ``prefix_caching`` (default on) lets examples that share a prompt prefix
-    reuse each other's prefill K/V and attention-score blocks — generated
+    reuse each other's prefill K/V and query rows — generated
     tokens are unchanged, only redundant prefill work is skipped.
     """
     examples = dataset.examples

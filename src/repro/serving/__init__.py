@@ -15,7 +15,7 @@ budget, so a long prompt is absorbed a chunk at a time between decode
 steps and in-flight sequences never stall behind it.  Requests sharing a
 prompt prefix reuse each other's prefill through a
 :class:`~repro.serving.prefix_cache.PrefixCache` (per-layer K/V pool
-pages and prefill attention-score blocks, keyed by prompt ids; entries
+pages and prefill query rows, keyed by prompt ids; entries
 reference the inserting sequence's own pool pages).  Admitted
 sequences decode continuously — many independent sequences per step with
 per-sequence KV cache policies, mid-flight admission and per-sequence stop
