@@ -55,8 +55,11 @@ def causal_prefill(
     scaled scores (masked entries zero) or the probabilities, as its need
     says — and the block is dropped.
 
-    The serial reference and the serving engine both prefill through this
-    one function, so they agree bit for bit on the same rows.
+    The serial reference and the serving engine's whole-prompt prefill
+    make the same call, so they agree bit for bit.  A chunk or prefix-hit
+    boundary changes the BLAS tiling of the rows after it, which can move
+    their results in the last bits; their column sums are still added
+    row by row in position order.
     """
     m, num_heads, _ = queries.shape
     q_h = queries.transpose(1, 0, 2)  # [h, m, d]

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import H2OPolicy
+from repro.core.attention import softmax
 from repro.core.policy import FullCachePolicy
-from repro.llm.attention_layer import MultiHeadSelfAttention
+from repro.core.static_pruning import (
+    ColumnSums,
+    PrefillNeed,
+    accumulated_scores_from_attention,
+)
+from repro.llm.attention_layer import MultiHeadSelfAttention, causal_prefill
 from repro.llm.block import TransformerBlock
 from repro.llm.config import ModelConfig
 from repro.llm.generation import greedy_generate
@@ -62,6 +68,64 @@ class TestMultiHeadSelfAttention:
     def test_parameter_count(self):
         attn = MultiHeadSelfAttention(model_dim=8, num_heads=2, head_dim=4)
         assert attn.parameter_count() == 4 * 2 * 8 * 4
+
+
+class TestCausalPrefillKernel:
+    """The row-blocked prefill kernel against the dense computation: its
+    attention output, and the column sums it streams for every need, whole
+    prompt or split at a prefix whose rows are replayed (no output)."""
+
+    HEADS, DIM, N, SPLIT = 2, 4, 300, 137  # two row blocks; split mid-block
+
+    NEEDS = [
+        pytest.param(PrefillNeed(), id="softmax"),
+        pytest.param(PrefillNeed(softmax=False), id="raw"),
+        pytest.param(PrefillNeed(window=40), id="window"),
+    ]
+
+    def rows(self, rng):
+        shape = (self.N, self.HEADS, self.DIM)
+        return rng.normal(size=shape), rng.normal(size=shape), rng.normal(size=shape)
+
+    @pytest.mark.parametrize("need", NEEDS)
+    def test_matches_dense_attention_and_reduction(self, rng, need):
+        q, k, v = self.rows(rng)
+        scale = 0.5
+        scores = np.einsum("qhd,khd->hqk", q, k) * scale
+        causal = np.tril(np.ones((self.N, self.N), dtype=bool))
+        probs = softmax(np.where(causal, scores, -np.inf), axis=-1)
+        dense_out = np.einsum("hqk,khd->qhd", probs, v)
+        dense_sums = accumulated_scores_from_attention(
+            scores, use_softmax=need.softmax, observation_window=need.window
+        )
+
+        out = np.empty_like(q)
+        sums = ColumnSums(need, self.HEADS, self.N)
+        causal_prefill(q, k, v, 0, scale, out=out, sums=sums)
+        np.testing.assert_allclose(out, dense_out, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(
+            sums.token_scores(), dense_sums, rtol=1e-10, atol=1e-12
+        )
+
+        split_out = np.empty_like(q)
+        split_sums = ColumnSums(need, self.HEADS, self.N)
+        causal_prefill(q[: self.SPLIT], k, v, 0, scale, sums=split_sums)
+        causal_prefill(
+            q[self.SPLIT:], k, v, self.SPLIT, scale,
+            out=split_out[self.SPLIT:], sums=split_sums,
+        )
+        np.testing.assert_allclose(
+            split_out[self.SPLIT:], out[self.SPLIT:], rtol=1e-10, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            split_sums.sums, sums.sums, rtol=1e-10, atol=1e-12
+        )
+
+    def test_rows_must_arrive_in_order(self, rng):
+        q, k, v = self.rows(rng)
+        sums = ColumnSums(PrefillNeed(), self.HEADS, self.N)
+        with pytest.raises(ValueError):
+            causal_prefill(q[5:9], k, v, 5, 0.5, sums=sums)
 
 
 class TestMLPAndBlock:
