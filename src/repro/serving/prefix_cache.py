@@ -80,9 +80,8 @@ class _CachedLayer:
     queries: np.ndarray
     pages: SharedKVPages
 
-    @classmethod
-    def build(cls, queries: np.ndarray, pages: SharedKVPages) -> "_CachedLayer":
-        return cls(queries=np.array(queries, dtype=np.float64), pages=pages)
+    def __post_init__(self) -> None:
+        self.queries = np.array(self.queries, dtype=np.float64)
 
 
 @dataclass
@@ -426,14 +425,14 @@ class PrefixCache:
             # By-reference entry: the handles already own one reference per
             # page; no pool writes, no exhaustion path.
             return [
-                _CachedLayer.build(queries, shared)
+                _CachedLayer(queries, shared)
                 for (_keys, _values, queries), shared in zip(layers, shared_pages)
             ]
         entry: List[_CachedLayer] = []
         try:
             for layer_index, (keys, values, queries) in enumerate(layers):
                 shared = self._write_pages(layer_index, keys, values)
-                entry.append(_CachedLayer.build(queries, shared))
+                entry.append(_CachedLayer(queries, shared))
         except PoolExhaustedError:
             self._release_entry(entry)
             return None

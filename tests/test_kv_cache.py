@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.kv_cache import SlotKVCache
+from repro.core.kv_pool import PagedKVPool
 
 
 def make_cache(capacity=4, heads=2, dim=3):
@@ -92,6 +93,58 @@ class TestAppendAndRead:
         cache.append(key, value, 0)
         with pytest.raises(ValueError):
             cache.gather([1])
+
+
+class TestAppendMany:
+    """The bulk prefill load equals the same rows appended one at a time
+    after ``clear()``: slots, metadata, stored bytes and page ids."""
+
+    @pytest.mark.parametrize("codec", [None, "int8"])
+    @pytest.mark.parametrize("page_size", [None, 3])
+    def test_matches_one_at_a_time(self, codec, page_size):
+        rng = np.random.default_rng(4)
+        keys = rng.normal(size=(5, 2, 4))
+        values = rng.normal(size=(5, 2, 4))
+        positions = [0, 3, 4, 9, 12]
+
+        def build():
+            pool = None
+            if page_size is not None:
+                pool = PagedKVPool(page_size, 2, 4, num_pages=8, codec=codec)
+            cache = SlotKVCache(capacity=7, num_heads=2, head_dim=4,
+                                pool=pool, codec=None if pool else codec)
+            cache.append(keys[0], values[0], 99)
+            cache.clear()
+            return cache
+
+        looped = build()
+        slots = [
+            looped.append(k, v, pos, is_heavy=True)
+            for k, v, pos in zip(keys, values, positions)
+        ]
+        bulk = build()
+        np.testing.assert_array_equal(
+            bulk.append_many(keys, values, positions, is_heavy=True), slots
+        )
+        assert bulk.entries() == looped.entries()
+        assert bulk.position_to_slot_map() == looped.position_to_slot_map()
+        assert bulk.num_free_slots == looped.num_free_slots
+        assert bulk.write_count == looped.write_count
+        np.testing.assert_array_equal(bulk.keys(), looped.keys())
+        np.testing.assert_array_equal(bulk.values(), looped.values())
+        assert bulk.block_table.locate(np.arange(5))[0].tolist() == (
+            looped.block_table.locate(np.arange(5))[0].tolist()
+        )
+        # The next decode-time append lands where it would have.
+        key, value = kv(heads=2, dim=4)
+        assert bulk.append(key, value, 20) == looped.append(key, value, 20)
+
+    def test_needs_an_empty_cache(self):
+        cache = make_cache()
+        key, value = kv()
+        cache.append(key, value, 0)
+        with pytest.raises(RuntimeError):
+            cache.append_many(key[None], value[None], [1])
 
 
 class TestEvictionAndReplace:
