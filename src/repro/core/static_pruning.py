@@ -107,10 +107,13 @@ class ColumnSums:
     def fold(self, block: np.ndarray, start: int) -> None:
         """Add one block of query rows and forget it.
 
-        ``block`` is ``[h, 1 + m, n]``: index 0 is a spare row (overwritten
-        here), and index ``r + 1`` holds the contribution of the query at
-        position ``start + r`` to keys ``0 .. n-1`` (probabilities or
-        raw scores as :attr:`need` says, masked entries already zero).
+        ``block`` is ``[h, 1 + m, n]``: index 0 is a spare row, and index
+        ``r + 1`` holds the contribution of the query at position
+        ``start + r`` to keys ``0 .. n-1`` (probabilities or raw scores as
+        :attr:`need` says, masked entries already zero).  The running sum
+        is written over the index just before the first row summed — the
+        spare, unless an observation window starts inside the block — so
+        the block's contents are spent afterwards.
         """
         m = block.shape[1] - 1
         if start != self.rows:
