@@ -248,8 +248,7 @@ class QuestPolicy(WholePromptStoreMixin, KVCachePolicy):
         outputs = attend_selected(
             queries,
             np.einsum("skhd,shd->shk", selected_keys, queries),
-            addresses,
-            selected,
+            addresses.take(selected, counts).values(),
             counts,
             scales,
         )

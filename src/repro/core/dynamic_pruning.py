@@ -66,7 +66,13 @@ class ExactTopKSelector:
         self.scale = scale
 
     def select(self, query: np.ndarray, keys: np.ndarray, k: int) -> SelectionResult:
-        scores = head_mean_scores(attention_scores(query, keys, scale=self.scale))
+        return self.select_raw(attention_scores(query, keys), k)
+
+    def select_raw(self, raw_scores: np.ndarray, k: int) -> SelectionResult:
+        """:meth:`select` from precomputed unscaled dot products ``[h, n]``."""
+        if self.scale is not None:
+            raw_scores = raw_scores * float(self.scale)
+        scores = head_mean_scores(raw_scores)
         selected = top_k_indices(scores, k)
         return SelectionResult(
             selected_indices=selected,

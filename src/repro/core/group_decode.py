@@ -22,12 +22,14 @@ of ``S`` per-sequence ``decode_step`` invocations:
   read this way.
 * :func:`read_group_keys` / :func:`attend_selected` — the select-then-
   attend flow of the *selection* policies (UniCAIM, Quest), which attend
-  only a top-k subset: read K for every cached row once, score and pick
-  each member's rows (:func:`~repro.core.attention.top_k_rows`, padded to
-  the group's largest pick), then read V for the selected rows only and
-  attend over ``[S, k_max]`` — about a fifth of the V bytes at the
-  paper's reference point, and on quantised arenas only those rows are
-  dequantised.
+  only a top-k subset: score every cached row, pick each member's rows
+  (:func:`~repro.core.attention.top_k_rows`, padded to the group's
+  largest pick), then read V for the selected rows only and attend over
+  ``[S, k_max]`` — about a fifth of the V bytes at the paper's reference
+  point, and on quantised arenas only those rows are dequantised.  Quest
+  reads K of every row through :func:`read_group_keys`; UniCAIM scores
+  its slot-resident key mirror in place
+  (:meth:`~repro.core.kv_cache.SlotKVCache.search`) and reads no K.
 * :func:`batched_group_attention` — multi-sequence single-query attention
   over padded row sets; padding entries are masked to ``-inf`` so their
   softmax weight is exactly zero.
@@ -164,8 +166,9 @@ def read_group_keys(
     """Read K (not V) of a group's cached rows; keep the addresses for V.
 
     Returns ``(addresses, keys [S, T, h, d], valid [S, T])``.  The
-    addresses are resolved once; :func:`attend_selected` narrows them to
-    the selected rows for the value read.
+    addresses are resolved once; ``addresses.take(...)`` narrows them to
+    the selected rows for the value read that :func:`attend_selected`
+    consumes.
     """
     addresses = resolve_padded(tables, slot_lists)
     keys = addresses.keys()
@@ -176,21 +179,18 @@ def read_group_keys(
 def attend_selected(
     queries: np.ndarray,
     selected_raw: np.ndarray,
-    addresses: PaddedAddresses,
-    selected: np.ndarray,
+    values: np.ndarray,
     counts: np.ndarray,
     scales: np.ndarray,
 ) -> np.ndarray:
     """Attention over each member's selected rows only.
 
-    ``selected [S, k_max]`` holds column indices into the rows behind
-    ``addresses``; member ``s`` attends its first ``counts[s]`` of them
-    (the rest is padding).  ``selected_raw [S, h, k_max]`` are the
-    unscaled dot products of those columns.  V is read for the
-    ``[S, k_max]`` selected rows alone.  Returns ``[S, h, d]``.
+    ``values [S, k_max, h, d]`` are the V rows of each member's selected
+    tokens and ``selected_raw [S, h, k_max]`` their unscaled dot products;
+    member ``s`` attends its first ``counts[s]`` of them (the rest is
+    padding).  Returns ``[S, h, d]``.
     """
-    values = addresses.take(selected, counts).values()
-    attend = np.arange(selected.shape[1])[None, :] < counts[:, None]
+    attend = np.arange(values.shape[1])[None, :] < counts[:, None]
     outputs, _ = batched_group_attention(
         queries, None, values, attend, scales=scales, raw_scores=selected_raw
     )

@@ -11,11 +11,15 @@
   a free slot; once all ``M`` reserved slots are in use, the token with the
   lowest accumulated attention score is statically evicted and the new KV
   pair is written into the freed slot (fixed cache size, in-place update).
-  The current query's similarity against all cached keys is measured by a
-  pluggable selector (exact, or the CAM-mode approximate selector), the
-  top-``k`` tokens are dynamically selected, exact attention is computed
-  over only those tokens, and the per-step scores are added to the
-  accumulated-score table that drives future static evictions.
+  The current query's similarity against all cached keys is measured in
+  place, as the array's CAM search does: the slot cache keeps every key in
+  a slot-resident mirror row (:class:`~repro.core.kv_cache.KeyMirror`)
+  that the write patches, so a step reads no cached key back from the
+  pool pages.  A pluggable selector (exact, or the CAM-mode approximate
+  selector) picks the top-``k`` tokens, V is read for those rows alone,
+  exact attention is computed over them, and the per-step scores are
+  added to the accumulated-score table that drives future static
+  evictions.
 
 The selector abstraction lets the same policy run in "algorithm" mode
 (exact scores, what a GPU implementation would do) or in "hardware" mode
@@ -26,11 +30,11 @@ application-level evaluations are tied together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attention import sparse_attention_output, top_k_indices, top_k_rows
+from .attention import softmax, top_k_rows
 from .config import PruningConfig
 from .dynamic_pruning import (
     CAMApproximateSelector,
@@ -38,8 +42,9 @@ from .dynamic_pruning import (
     SelectionResult,
     TopKSelector,
 )
-from .group_decode import attend_selected, read_group_keys
+from .group_decode import attend_selected
 from .kv_cache import SlotKVCache
+from .kv_pool import poison_padding_enabled, resolve_padded
 from .policy import KVCachePolicy, StepRecord
 from .static_pruning import PrefillNeed, select_heavy_tokens
 
@@ -240,18 +245,24 @@ class UniCAIMPolicy(KVCachePolicy):
 
         evicted_position = self._insert_generated(key, value, int(position))
 
-        keys = self.cache.keys()
-        values = self.cache.values()
+        slots = self.cache.occupied_slots()
         positions = self.cache.token_positions()
-        n = keys.shape[0]
+        raw = _search_group([self], query[None], [slots])[0][0]  # [h, n]
+        n = slots.size
 
         k = self.config.effective_top_k(n)
-        selection = self.selector.select(query, keys, k)
+        if type(self.selector) is ExactTopKSelector:
+            selection = self.selector.select_raw(raw, k)
+        else:
+            selection = self.selector.select(query, self.cache.keys(), k)
         selected = selection.selected_indices
 
-        output = sparse_attention_output(
-            query, keys, values, selected, scale=self.scale
+        # Exact attention over the selected rows; V is read for those only.
+        probs = softmax(raw[:, selected] * self.scale, axis=-1)
+        values = np.asarray(
+            self.cache.gather_values(slots[selected]), dtype=np.float64
         )
+        output = np.einsum("hn,nhd->hd", probs, values)
 
         self._accumulate_step_scores(selection)
 
@@ -281,11 +292,14 @@ class UniCAIMPolicy(KVCachePolicy):
         the heavy math runs once for the group, in the current-domain CIM
         mode's order — exact attention over the selected rows only:
 
-        1. read K of every member's cached rows (one padded gather);
-        2. score all members at once — the selector's similarity GEMM is
-           one ``[S, h, T]`` tensor (for the CAM selector the quantise-and-
-           match runs across all member score tables, with each member's
-           per-call normalisation and sense-noise draw preserved) — and
+        1. score every member's query against its cached keys in place —
+           each member's key mirror fills its rows of one ``[S, h, T]``
+           table (:func:`_search_group`, shared with :meth:`decode_step`),
+           with no K read from the pool;
+        2. rank all members at once — for the CAM selector the quantise-
+           and-match runs across all member score tables, with each
+           member's per-call normalisation (over its occupied-order keys,
+           copied out of the mirror) and sense-noise draw preserved — and
            pick each member's top-k with the tie-exact
            :func:`~repro.core.attention.top_k_rows`, padded to the group's
            largest ``k``;
@@ -320,16 +334,11 @@ class UniCAIMPolicy(KVCachePolicy):
                     victim_position=None if victims is None else victims[row],
                 )
             )
-        tables = [policy.cache.block_table for policy in group]
         slot_lists = [policy.cache.occupied_slots() for policy in group]
         position_arrays = [policy.cache.token_positions() for policy in group]
-        addresses, gathered_k, valid = read_group_keys(tables, slot_lists)
-        lengths = addresses.lengths
-        keys64 = np.asarray(gathered_k, dtype=np.float64)
-
-        # Exact similarity of every member at once: one [S, h, T] GEMM,
-        # head-mean-reduced to the per-token score tables.
-        exact_raw = np.einsum("sthd,shd->sht", keys64, queries)
+        # Exact similarity of every member, head-mean-reduced to the
+        # per-token score tables.
+        exact_raw, lengths, valid = _search_group(group, queries, slot_lists)
         exact_mean = exact_raw.mean(axis=1)  # [S, T]
         if selector_type is CAMApproximateSelector:
             # Quantisation is normalised per call (each member's own key
@@ -340,11 +349,13 @@ class UniCAIMPolicy(KVCachePolicy):
                     for row, policy in enumerate(group)
                 ]
             )
-            quant_k = np.zeros_like(keys64)
+            quant_k = np.zeros(
+                (len(group), exact_raw.shape[2], self.num_heads, self.head_dim)
+            )
             for row, policy in enumerate(group):
                 size = int(lengths[row])
                 quant_k[row, :size] = policy.selector.quantize_keys(
-                    keys64[row, :size]
+                    policy.cache.keys()
                 )
             match_mean = np.einsum("sthd,shd->sht", quant_k, quant_q).mean(
                 axis=1
@@ -395,30 +406,25 @@ class UniCAIMPolicy(KVCachePolicy):
                 )
             else:
                 # Mixed-scale exact selectors in one group: rank each
-                # member with its own selector semantics.  A private scale
-                # multiplies the per-head scores *before* the head mean
-                # (the serial rounding order); scale-less members rank the
-                # plain head-mean scores.
-                if policy.selector.scale is None:
-                    scores = exact_scores
-                else:
-                    scores = (
-                        exact_raw[row, :, :size] * float(policy.selector.scale)
-                    ).mean(axis=0)
-                selection = SelectionResult(
-                    selected_indices=top_k_indices(scores, top_k),
-                    scores=scores,
-                    exact_scores=scores.copy(),
+                # member with its own selector semantics (a private scale
+                # multiplies the per-head scores before the head mean).
+                selection = policy.selector.select_raw(
+                    exact_raw[row, :, :size], top_k
                 )
                 selected[row, :top_k] = selection.selected_indices
             selections.append(selection)
 
         scales = np.asarray([policy.scale for policy in group], dtype=np.float64)
+        picked = [
+            slots[selected[row, : int(top_ks[row])]]
+            for row, slots in enumerate(slot_lists)
+        ]
         outputs = attend_selected(
             queries,
             np.take_along_axis(exact_raw, selected[:, None, :], axis=2),
-            addresses,
-            selected,
+            resolve_padded(
+                [policy.cache.block_table for policy in group], picked
+            ).values(),
             top_ks,
             scales,
         )
@@ -632,6 +638,31 @@ class UniCAIMPolicy(KVCachePolicy):
         if decay != 1.0:
             self._slot_scores[slots] *= decay
         self._slot_scores[slots] += step_scores
+
+
+def _search_group(
+    group: Sequence[UniCAIMPolicy],
+    queries: np.ndarray,
+    slot_lists: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score each member's query against its cached keys, in place.
+
+    Member ``s`` fills ``raw[s, :, :lengths[s]]`` from its key mirror
+    (:meth:`~repro.core.kv_cache.SlotKVCache.search`), in the order of
+    ``slot_lists[s]`` (its occupied slots); the padding tail is zero, or
+    NaN when padding poisoning is on, and ``valid [S, T]`` masks it.
+
+    Returns ``(raw [S, h, T], lengths [S], valid [S, T])``.
+    """
+    lengths = np.asarray([slots.size for slots in slot_lists], dtype=np.int64)
+    width = int(lengths.max())
+    raw = np.zeros((len(group), queries.shape[1], width))
+    for row, (policy, size) in enumerate(zip(group, lengths)):
+        policy.cache.search(queries[row], out=raw[row, :, :size])
+    valid = np.arange(width)[None, :] < lengths[:, None]
+    if poison_padding_enabled():
+        np.copyto(raw, np.nan, where=~valid[:, None, :])
+    return raw, lengths, valid
 
 
 def make_policy(

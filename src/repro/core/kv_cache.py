@@ -20,14 +20,26 @@ per-layer arena, so pages are allocated on demand, shared prefix pages are
 stored once, and a write into a shared page copy-on-write splits it.  The
 public API is unchanged, so every ``KVCachePolicy`` backend runs unmodified.
 
+Keys are also held in a :class:`KeyMirror`: one head-major float64
+``[h, capacity, d]`` array indexed by slot, the software twin of the
+array's FeFET rows.  Like the array, the cache keeps every key in its row
+and a write patches one row (``write_row``), an eviction frees one
+(``erase_row``), and the CAM-style similarity search scores a query
+against the occupied rows in place (``search``) — no per-step gather of
+every cached key from the pool pages.  The mirror always holds exactly
+what a block-table gather of the occupied slots returns (bitwise, as
+float64); a mixed-precision demotion, which re-quantises stored rows,
+rebuilds it from the pool.  (A promotion needs no rebuild: it only pins a
+freshly allocated page, whose rows decode into the overlay unchanged.)
+
 The cache is a decode-loop hot path, so reads are zero-copy where possible:
-``keys()`` / ``values()`` / ``token_positions()`` / ``occupied_slots()``
-return cached read-only arrays that are refreshed lazily after a mutation
-instead of gathering a fresh copy on every call, and the position -> slot
-lookup is an O(1) dict maintained on write/evict.  The number of gathered
-arrays built — including the block-table gathers of the paged path — is
-exposed via :attr:`SlotKVCache.materialization_count` so perf regressions
-are testable.
+``keys()`` (served from the mirror) / ``values()`` / ``token_positions()``
+/ ``occupied_slots()`` return cached read-only arrays that are refreshed
+lazily after a mutation instead of being rebuilt on every call, and the
+position -> slot lookup is an O(1) dict maintained on write/evict.  The
+number of arrays built — view refreshes, explicit block-table gathers and
+mirror rebuilds — is exposed via :attr:`SlotKVCache.materialization_count`
+so perf regressions are testable.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kv_codec import CodecSpec, MixedPrecisionConfig
-from .kv_pool import BlockTable, PagedKVPool
+from .kv_pool import BlockTable, PagedKVPool, poison_padding_enabled
 
 
 @dataclass
@@ -48,6 +60,54 @@ class CacheEntry:
     slot: int
     token_position: int
     is_heavy: bool
+
+
+class KeyMirror:
+    """Head-major float64 key rows ``[h, capacity, d]``, indexed by slot.
+
+    Rows of free slots hold stale data, or NaN when padding poisoning is
+    on (:func:`~repro.core.kv_pool.set_poison_padding`), so a read of a
+    stale row poisons the output instead of passing for a key.
+    """
+
+    def __init__(self, capacity: int, num_heads: int, head_dim: int) -> None:
+        shape = (num_heads, capacity, head_dim)
+        self.rows = (
+            np.full(shape, np.nan) if poison_padding_enabled() else np.empty(shape)
+        )
+
+    def write_row(self, slot: int, key: np.ndarray) -> None:
+        """Store one key ``[h, d]`` in ``slot``'s row."""
+        self.rows[:, slot] = key
+
+    def write_rows(self, start: int, keys: np.ndarray) -> None:
+        """Store ``n`` keys ``[n, h, d]`` in rows ``start .. start + n - 1``."""
+        self.rows[:, start : start + keys.shape[0]] = keys.transpose(1, 0, 2)
+
+    def erase_row(self, slot: int) -> None:
+        """Free ``slot``'s row (poisoned in debug mode, else left stale)."""
+        if poison_padding_enabled():
+            self.rows[:, slot] = np.nan
+
+    def read(self, slots: np.ndarray) -> np.ndarray:
+        """Rows of the ascending ``slots`` (an ``occupied_slots()`` array),
+        ``[h, n, d]``.  The contiguous run ``0 .. n-1`` that a
+        fill-then-replace cache always occupies is a slice view, not a
+        copy."""
+        n = slots.size
+        if n and slots[-1] != n - 1:
+            return self.rows[:, slots]
+        return self.rows[:, :n]
+
+    def search(
+        self,
+        query: np.ndarray,
+        slots: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Unscaled dot products of ``query [h, d]`` with the keys of
+        ``slots``, ``[h, n]``, written into ``out`` when given."""
+        return np.einsum("htd,hd->ht", self.read(slots), query, out=out)
 
 
 class SlotKVCache:
@@ -136,6 +196,9 @@ class SlotKVCache:
         self._cached_values: Optional[np.ndarray] = None
         self._cached_positions: Optional[np.ndarray] = None
         self._materializations = 0
+        # Slot-resident keys (see the module docstring); allocated on the
+        # first write, dropped by clear().
+        self._mirror: Optional[KeyMirror] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -162,13 +225,16 @@ class SlotKVCache:
 
     @property
     def materialization_count(self) -> int:
-        """Number of gathered cache arrays built since construction.
+        """Number of cache arrays built since construction.
 
         Each lazy view refresh (occupied slots, keys, values or positions)
-        counts once, as does every explicit :meth:`gather` — under paging
-        each of those is a block-table gather over pool pages.  Repeated
-        reads between mutations are free.  Perf smoke tests assert this
-        stays O(decode steps).
+        counts once, as does every explicit :meth:`gather` /
+        :meth:`gather_values` — a block-table gather over pool pages — and
+        every key-mirror rebuild (one full K gather).  Keys are served
+        from the mirror, so :meth:`search` and the ``keys()`` refresh read
+        no pool page.  Repeated reads between mutations are free.  Perf
+        smoke tests assert this stays O(decode steps) and that decode
+        steps do no full K gather.
         """
         return self._materializations
 
@@ -273,6 +339,7 @@ class SlotKVCache:
             raise ValueError(f"keys and values must have shape {expected}")
         if n and positions.min() < 0:
             raise ValueError("token_position must be >= 0")
+        demotions = self.pool.stats.fp_demotions
         if n:
             self._table.write_span(0, keys, values)
         self._occupied[:n] = True
@@ -282,6 +349,11 @@ class SlotKVCache:
         self._free_slots = dict.fromkeys(range(self.capacity - 1, n - 1, -1))
         self._writes += n
         self._invalidate_views()
+        if self.pool.stats.fp_demotions != demotions:
+            self._rebuild_mirror()
+        elif n:
+            pages, _ = self._table.locate(np.arange(n))
+            self.key_mirror.write_rows(0, self.pool.stored_keys(pages, keys))
         return np.arange(n, dtype=np.int64)
 
     def overwrite(
@@ -314,6 +386,8 @@ class SlotKVCache:
         self._is_heavy[slot] = False
         self._free_slots[slot] = None
         self._evictions += 1
+        if self._mirror is not None:
+            self._mirror.erase_row(slot)
         self._invalidate_views()
         return entry
 
@@ -351,6 +425,7 @@ class SlotKVCache:
         self._is_heavy.fill(False)
         self._free_slots = dict.fromkeys(range(self.capacity - 1, -1, -1))
         self._pos_to_slot = {}
+        self._mirror = None
         self._invalidate_views()
 
     def release(self) -> None:
@@ -367,11 +442,15 @@ class SlotKVCache:
     def keys(self, head: Optional[int] = None) -> np.ndarray:
         """Keys of occupied slots, shape ``[n, heads, d]`` or ``[n, d]``.
 
-        Cached read-only view, refreshed lazily after mutations; per-head
-        selection slices the cached array without copying.
+        Float64, copied out of the key mirror in occupied-slot order (no
+        pool read).  Cached read-only view, refreshed lazily after
+        mutations; per-head selection slices the cached array without
+        copying.
         """
         if self._cached_keys is None:
-            keys = self._table.gather_keys(self.occupied_slots())
+            keys = np.ascontiguousarray(
+                self.key_mirror.read(self.occupied_slots()).transpose(1, 0, 2)
+            )
             keys.setflags(write=False)
             self._cached_keys = keys
             self._materializations += 1
@@ -399,22 +478,36 @@ class SlotKVCache:
         block-table gather over pool pages, so the perf-smoke budget keeps
         guarding the decode hot path.
         """
-        slots_arr = np.asarray(list(slots), dtype=np.int64)
-        if slots_arr.size:
-            out_of_range = (slots_arr < 0) | (slots_arr >= self.capacity)
-            if out_of_range.any():
-                bad = int(slots_arr[out_of_range][0])
-                raise IndexError(
-                    f"slot {bad} out of range for capacity {self.capacity}"
-                )
-            unoccupied = ~self._occupied[slots_arr]
-            if unoccupied.any():
-                raise ValueError(
-                    f"slot {int(slots_arr[unoccupied][0])} is not occupied"
-                )
+        slots_arr = self._occupied_slot_array(slots)
         keys, values = self._table.gather(slots_arr)
         self._materializations += 1
         return keys, values, self._token_positions[slots_arr]
+
+    def gather_values(self, slots: Sequence[int]) -> np.ndarray:
+        """Values ``[n, h, d]`` of an explicit slot list (pool dtype).
+
+        The V read of select-then-attend: only the selected rows leave
+        the pool.  Counts one materialisation, like :meth:`gather`.
+        """
+        values = self._table.gather_values(self._occupied_slot_array(slots))
+        self._materializations += 1
+        return values
+
+    def search(
+        self, query: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Unscaled per-head dot products of ``query [h, d]`` with every
+        occupied key, ``[h, n]`` in occupied-slot order (see
+        :meth:`KeyMirror.search`)."""
+        return self.key_mirror.search(query, self.occupied_slots(), out=out)
+
+    @property
+    def key_mirror(self) -> KeyMirror:
+        """The slot-resident key rows (read-only by convention), allocated
+        on first use."""
+        if self._mirror is None:
+            self._mirror = KeyMirror(self.capacity, self.num_heads, self.head_dim)
+        return self._mirror
 
     def key_at(self, slot: int, head: Optional[int] = None) -> np.ndarray:
         self._check_slot(slot)
@@ -498,6 +591,31 @@ class SlotKVCache:
             # Never-written slot: the dense layout returned zeros.
             return np.zeros((self.num_heads, self.head_dim), dtype=self.pool.dtype)
 
+    def _occupied_slot_array(self, slots: Sequence[int]) -> np.ndarray:
+        slots_arr = np.asarray(slots, dtype=np.int64).reshape(-1)
+        if slots_arr.size:
+            out_of_range = (slots_arr < 0) | (slots_arr >= self.capacity)
+            if out_of_range.any():
+                bad = int(slots_arr[out_of_range][0])
+                raise IndexError(
+                    f"slot {bad} out of range for capacity {self.capacity}"
+                )
+            unoccupied = ~self._occupied[slots_arr]
+            if unoccupied.any():
+                raise ValueError(
+                    f"slot {int(slots_arr[unoccupied][0])} is not occupied"
+                )
+        return slots_arr
+
+    def _rebuild_mirror(self) -> None:
+        """Reload the occupied rows from the pool (one full K gather)."""
+        slots = self.occupied_slots()
+        if slots.size:
+            self.key_mirror.rows[:, slots] = self._table.gather_keys(
+                slots
+            ).transpose(1, 0, 2)
+        self._materializations += 1
+
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.capacity:
             raise IndexError(
@@ -525,9 +643,9 @@ class SlotKVCache:
     ) -> None:
         if token_position < 0:
             raise ValueError("token_position must be >= 0")
-        self._table.write(
-            slot, self._coerce(key, "key"), self._coerce(value, "value")
-        )
+        key = self._coerce(key, "key")
+        demotions = self.pool.stats.fp_demotions
+        page = self._table.write(slot, key, self._coerce(value, "value"))
         if self._occupied[slot]:
             self._pos_to_slot.pop(int(self._token_positions[slot]), None)
         self._occupied[slot] = True
@@ -536,6 +654,13 @@ class SlotKVCache:
         self._pos_to_slot[int(token_position)] = int(slot)
         self._writes += 1
         self._invalidate_views()
+        if self.pool.stats.fp_demotions != demotions:
+            # Demoted pages re-quantised rows this cache already mirrors.
+            self._rebuild_mirror()
+        else:
+            self.key_mirror.write_row(
+                slot, self.pool.stored_keys(np.asarray([page]), key[None])[0]
+            )
 
     def _invalidate_views(self) -> None:
         self._cached_slots = None
@@ -544,4 +669,4 @@ class SlotKVCache:
         self._cached_positions = None
 
 
-__all__ = ["SlotKVCache", "CacheEntry"]
+__all__ = ["SlotKVCache", "CacheEntry", "KeyMirror"]

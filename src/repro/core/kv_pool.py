@@ -660,6 +660,27 @@ class PagedKVPool:
         self._values[page, offset:stop] = stored_v
         self._value_scales[page, offset:stop] = scales_v
 
+    def stored_keys(self, pages: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """``keys [n, h, d]`` as a gather returns them once written to ``pages [n]``.
+
+        Derived from the rows alone, with no arena read: the float codec
+        and full-precision overlay pages hold the rows cast to the compute
+        dtype, quantised pages hold their codec round-trip.  Encoding is a
+        pure per-row function, so the result is bitwise what
+        :meth:`gather_keys` reads back.
+        """
+        exact = np.asarray(keys, dtype=self.dtype)
+        if self.codec.is_float:
+            return exact
+        fp = self._fp_flags[pages]
+        if fp.all():
+            return exact
+        out = self.codec.decode(
+            *self.codec.encode(keys), self.head_dim, self.dtype
+        )
+        out[fp] = exact[fp]
+        return out
+
     def page_keys(self, page: int) -> np.ndarray:
         """Key rows of one allocated page, ``[page_size, h, d]``.
 
@@ -981,12 +1002,16 @@ class BlockTable:
         self._fp_frontier = len(self._pages) - 1
         self.pool.stats.prefix_pages_adopted += len(shared.page_ids)
 
-    def write(self, slot: int, key: np.ndarray, value: np.ndarray) -> None:
-        """Write one K/V row, allocating / CoW-splitting as needed."""
+    def write(self, slot: int, key: np.ndarray, value: np.ndarray) -> int:
+        """Write one K/V row, allocating / CoW-splitting as needed.
+
+        Returns the page the row landed on.
+        """
         page, offset = self._writable(slot)
         self.pool.write_rows(
             page, offset, np.asarray(key)[None], np.asarray(value)[None]
         )
+        return page
 
     def write_span(
         self, start_slot: int, keys: np.ndarray, values: np.ndarray

@@ -41,6 +41,7 @@ from repro.core.kv_pool import (
     PagedKVPool,
     PagedKVStore,
     gather_padded,
+    poison_padding_enabled,
     set_poison_padding,
 )
 from repro.core.policy import FullCachePolicy
@@ -261,7 +262,23 @@ class TestSelectThenAttend:
         # The picks really are ragged within the run.
         assert len(attended) > 1
 
+    @staticmethod
+    def _spy_reads(monkeypatch, pool):
+        """Record the index shape of every K and V read of ``pool``."""
+        reads = {"gather_keys": [], "gather_values": []}
+        for name, seen in reads.items():
+            original = getattr(pool, name)
+
+            def spy(pages, offsets, original=original, seen=seen):
+                seen.append(np.shape(pages))
+                return original(pages, offsets)
+
+            monkeypatch.setattr(pool, name, spy)
+        return reads
+
     def test_unicaim_reads_values_of_selected_rows_only(self, monkeypatch):
+        """A warm step scores the slot-resident key mirror: no K read at
+        all, and V only for the ``[S, k_max]`` selected rows."""
         rng = np.random.default_rng(8)
         pool = PagedKVPool(8, HEADS, HEAD_DIM, num_pages=64)
         group = []
@@ -273,24 +290,33 @@ class TestSelectThenAttend:
                 rng.normal(size=(n, HEADS, HEAD_DIM)),
             )
             group.append(policy)
-        reads = {"gather_keys": [], "gather_values": []}
-        for name, seen in reads.items():
-            original = getattr(pool, name)
-
-            def spy(pages, offsets, original=original, seen=seen):
-                seen.append(np.shape(pages))
-                return original(pages, offsets)
-
-            monkeypatch.setattr(pool, name, spy)
+        queries, keys, values = rng.normal(size=(3, 3, HEADS, HEAD_DIM))
+        group[0].decode_step_group(queries, keys, values, [40, 41, 42], group)
+        reads = self._spy_reads(monkeypatch, pool)
         queries, keys, values = rng.normal(size=(3, 3, HEADS, HEAD_DIM))
         sizes = [len(policy.cache) + 1 for policy in group]
-        group[0].decode_step_group(
-            queries, keys, values, [40, 41, 42], group
-        )
+        group[0].decode_step_group(queries, keys, values, [43, 44, 45], group)
         k_max = max(SELECTION_CONFIG.effective_top_k(n) for n in sizes)
-        assert reads["gather_keys"] == [(3, max(sizes))]
+        assert reads["gather_keys"] == []
         assert reads["gather_values"] == [(3, k_max)]
         assert k_max < max(sizes)
+
+    def test_unicaim_serial_step_reads_values_of_top_k_only(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        pool = PagedKVPool(8, HEADS, HEAD_DIM, num_pages=16)
+        policy = UniCAIMPolicy(HEADS, HEAD_DIM, config=SELECTION_CONFIG)
+        policy.attach_pool(pool)
+        policy.prefill(
+            rng.normal(size=(30, HEADS, HEAD_DIM)),
+            rng.normal(size=(30, HEADS, HEAD_DIM)),
+        )
+        reads = self._spy_reads(monkeypatch, pool)
+        query, key, value = rng.normal(size=(3, HEADS, HEAD_DIM))
+        policy.decode_step(query, key, value, 40)
+        top_k = SELECTION_CONFIG.effective_top_k(len(policy.cache))
+        assert reads["gather_keys"] == []
+        assert reads["gather_values"] == [(top_k,)]
+        assert top_k < len(policy.cache)
 
 
 class TestMixedPolicyBatches:
@@ -473,8 +499,12 @@ class TestGroupSpanHelpers:
             want_k, want_v = store.gather(order)
             np.testing.assert_array_equal(keys[row, :n], want_k)
             np.testing.assert_array_equal(values[row, :n], want_v)
-            # Padding holds arbitrary-but-finite pool data; consumers mask.
-            assert np.isfinite(keys[row, n:]).all()
+            # Padding holds arbitrary-but-finite pool data (NaN when
+            # poisoned); consumers mask.
+            if poison_padding_enabled():
+                assert np.isnan(keys[row, n:]).all()
+            else:
+                assert np.isfinite(keys[row, n:]).all()
 
 
 class TestPoisonedPaddingGroupDecode:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.config import PruningConfig
+from repro.core.hybrid import UniCAIMPolicy
 from repro.core.kv_cache import SlotKVCache
-from repro.core.kv_pool import PagedKVPool
+from repro.core.kv_codec import MixedPrecisionConfig
+from repro.core.kv_pool import PagedKVPool, set_poison_padding
 
 
 def make_cache(capacity=4, heads=2, dim=3):
@@ -284,3 +287,141 @@ class TestBookkeeping:
             victim_slot = cache.slot_of_position(pos - 3)
             cache.replace(victim_slot, key, value, pos)
             assert len(cache) == 3
+
+
+class TestKeyMirror:
+    """The slot-resident key mirror always equals a pool gather of the
+    occupied slots, bitwise, through every kind of write, eviction,
+    release, rebind, copy-on-write split and mixed-precision demotion."""
+
+    HEADS, DIM, PAGE = 2, 5, 4
+    CONFIG = PruningConfig(heavy_budget=10, reserved_budget=6, top_k=4)
+
+    POOLS = {
+        "fp64": dict(dtype=np.float64),
+        "fp32": dict(dtype=np.float32),
+        "int8": dict(codec="int8"),
+        "int4": dict(codec="int4"),
+        "int8-mixed": dict(
+            codec="int8",
+            mixed_precision=MixedPrecisionConfig(sink_pages=1, recent_pages=1),
+        ),
+    }
+
+    @staticmethod
+    def assert_mirror_matches(cache):
+        slots = cache.occupied_slots()
+        mirror = cache.key_mirror.rows[:, slots].transpose(1, 0, 2)
+        gathered = cache.block_table.gather_keys(slots).astype(np.float64)
+        assert mirror.dtype == np.float64
+        assert np.ascontiguousarray(mirror).tobytes() == gathered.tobytes()
+        assert cache.keys().tobytes() == gathered.tobytes()
+        query = np.random.default_rng(0).normal(size=(TestKeyMirror.HEADS, TestKeyMirror.DIM))
+        expected = np.einsum("nhd,hd->hn", gathered, query)
+        np.testing.assert_array_equal(cache.search(query), expected)
+
+    @pytest.mark.parametrize("pool_kind", sorted(POOLS))
+    def test_random_operations_keep_mirror_exact(self, pool_kind):
+        rng = np.random.default_rng(sorted(self.POOLS).index(pool_kind))
+        pools = []
+
+        def fresh_pool():
+            pools.append(
+                PagedKVPool(
+                    self.PAGE, self.HEADS, self.DIM, num_pages=64,
+                    **self.POOLS[pool_kind],
+                )
+            )
+            return pools[-1]
+
+        policy = UniCAIMPolicy(self.HEADS, self.DIM, config=self.CONFIG)
+        policy.attach_pool(fresh_pool())
+        shape = (self.HEADS, self.DIM)
+        position = 0
+        sharers = []
+        ops = [
+            "append", "append_many", "replace", "evict", "overwrite_free",
+            "clear", "release", "rebind", "share",
+        ]
+        weights = np.asarray([8, 1, 6, 3, 2, 0.5, 0.5, 0.5, 1])
+        for _ in range(300):
+            cache = policy.cache
+            op = rng.choice(ops, p=weights / weights.sum())
+            position += 1
+            occupied = cache.occupied_slots()
+            free = np.setdiff1d(np.arange(cache.capacity), occupied)
+            if op == "append" and not cache.is_full:
+                cache.append(rng.normal(size=shape), rng.normal(size=shape), position)
+            elif op == "append_many":
+                n = int(rng.integers(0, cache.capacity + 1))
+                cache.clear()
+                cache.append_many(
+                    rng.normal(size=(n,) + shape), rng.normal(size=(n,) + shape),
+                    np.arange(position, position + n),
+                )
+                position += n
+            elif op == "replace" and occupied.size:
+                cache.replace(
+                    int(rng.choice(occupied)), rng.normal(size=shape),
+                    rng.normal(size=shape), position,
+                )
+            elif op == "evict" and occupied.size:
+                cache.evict(int(rng.choice(occupied)))
+            elif op == "overwrite_free" and free.size:
+                cache.overwrite(
+                    int(rng.choice(free)), rng.normal(size=shape),
+                    rng.normal(size=shape), position,
+                )
+            elif op == "clear":
+                cache.clear()
+            elif op == "release":
+                policy.release_kv()
+            elif op == "rebind":
+                policy.release_kv()
+                policy.attach_pool(fresh_pool())
+            elif op == "share" and cache.pages_held():
+                # Another holder takes a reference: the next write into
+                # this page copy-on-write splits it.
+                page = int(rng.choice(cache.block_table.page_ids))
+                cache.pool.incref(page)
+                sharers.append((cache.pool, page))
+            self.assert_mirror_matches(policy.cache)
+        for pool, page in sharers:
+            pool.decref(page)
+        assert sum(pool.stats.cow_splits for pool in pools) > 0
+        if pool_kind == "int8-mixed":
+            assert sum(pool.stats.fp_demotions for pool in pools) > 0
+
+    def test_demotion_rebuild_counts_one_materialization(self):
+        pool = PagedKVPool(
+            self.PAGE, self.HEADS, self.DIM, num_pages=8, codec="int8",
+            mixed_precision=MixedPrecisionConfig(recent_pages=1),
+        )
+        cache = SlotKVCache(12, self.HEADS, self.DIM, pool=pool)
+        rng = np.random.default_rng(3)
+        for pos in range(self.PAGE):
+            cache.append(rng.normal(size=(self.HEADS, self.DIM)),
+                         rng.normal(size=(self.HEADS, self.DIM)), pos)
+        before = cache.materialization_count
+        # The first write into the next block demotes block 0: the
+        # mirror re-reads the occupied rows once, then matches again.
+        cache.append(rng.normal(size=(self.HEADS, self.DIM)),
+                     rng.normal(size=(self.HEADS, self.DIM)), self.PAGE)
+        assert pool.stats.fp_demotions == 1
+        # One occupied-slot refresh plus the rebuild itself.
+        assert cache.materialization_count == before + 2
+        self.assert_mirror_matches(cache)
+
+    def test_poison_mode_nan_fills_free_and_evicted_rows(self):
+        old = set_poison_padding(True)
+        try:
+            cache = SlotKVCache(6, self.HEADS, self.DIM)
+            key = np.ones((self.HEADS, self.DIM))
+            for pos in range(4):
+                cache.append(key * pos, key, pos)
+            cache.evict(1)
+            rows = cache.key_mirror.rows
+            assert np.isnan(rows[:, [1, 4, 5]]).all()
+            assert not np.isnan(rows[:, [0, 2, 3]]).any()
+        finally:
+            set_poison_padding(old)

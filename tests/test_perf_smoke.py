@@ -2,10 +2,12 @@
 
 The vectorized :class:`~repro.core.kv_cache.SlotKVCache` returns cached
 views from ``keys()`` / ``values()`` / ``token_positions()`` and only
-materialises fresh gathered arrays after a mutation.  These tests pin that
+materialises fresh arrays after a mutation.  These tests pin that
 contract with the cache's ``materialization_count`` so a future change
 cannot quietly reintroduce a fancy-indexed copy per read (the seed
 behaviour, which made every decode step O(cache reads) in allocations).
+UniCAIM decode scores the cache's slot-resident key mirror in place, so
+its decode steps must also do no full K gather from the pool at all.
 """
 
 import numpy as np
@@ -14,13 +16,14 @@ import pytest
 from repro.core.config import PruningConfig
 from repro.core.hybrid import UniCAIMPolicy
 from repro.core.kv_cache import SlotKVCache
+from repro.core.kv_pool import PagedKVPool
 
 HEADS, DIM = 2, 8
 
 # A decode step mutates the cache once (insert/replace) and then reads the
-# occupied-slot index, keys, values and positions — at most four gathered
-# arrays may be materialised per step.
-MAX_MATERIALIZATIONS_PER_STEP = 4
+# occupied-slot index, the positions and V of the selected rows — at most
+# three arrays may be materialised per step (K comes from the key mirror).
+MAX_MATERIALIZATIONS_PER_STEP = 3
 
 
 class TestCacheViewCaching:
@@ -84,6 +87,53 @@ class TestDecodeMaterializationBudget:
             policy.decode_step(query, key, value, position=n + step)
         used = policy.cache.materialization_count - start
         assert used <= MAX_MATERIALIZATIONS_PER_STEP * steps
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["serial", "group"])
+    def test_full_cache_decode_does_no_key_gather(self, rng, monkeypatch, grouped):
+        """N decode steps of a full UniCAIM cache read no K from the pool
+        pages: the selector scores the key mirror, and a mirror rebuild
+        (which would count as a materialisation) never happens on the
+        float codec."""
+        config = PruningConfig(heavy_budget=24, reserved_budget=8, top_k=8)
+        pool = PagedKVPool(8, HEADS, DIM, num_pages=16)
+        group = []
+        for _ in range(2 if grouped else 1):
+            policy = UniCAIMPolicy(HEADS, DIM, config=config)
+            policy.attach_pool(pool)
+            policy.prefill(
+                rng.normal(size=(40, HEADS, DIM)), rng.normal(size=(40, HEADS, DIM))
+            )
+            group.append(policy)
+
+        def step(position):
+            queries, keys, values = rng.normal(size=(3, len(group), HEADS, DIM))
+            if grouped:
+                group[0].decode_step_group(
+                    queries, keys, values, [position] * len(group), group
+                )
+            else:
+                group[0].decode_step(queries[0], keys[0], values[0], position)
+
+        position = 40
+        while not group[0].cache.is_full:
+            step(position)
+            position += 1
+        key_reads = []
+        original = pool.gather_keys
+
+        def spy(pages, offsets):
+            key_reads.append(np.shape(pages))
+            return original(pages, offsets)
+
+        monkeypatch.setattr(pool, "gather_keys", spy)
+        start = [policy.cache.materialization_count for policy in group]
+        steps = 32
+        for offset in range(steps):
+            step(position + offset)
+        assert key_reads == []
+        for policy, before in zip(group, start):
+            used = policy.cache.materialization_count - before
+            assert used <= MAX_MATERIALIZATIONS_PER_STEP * steps
 
     def test_position_lookup_is_constant_time_map(self):
         """slot_of_position is served by the O(1) dict, which stays in sync
