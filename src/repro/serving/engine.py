@@ -130,12 +130,11 @@ with ``prefix_caching=False``.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -1419,8 +1418,10 @@ class BatchedEngine:
         generated tokens actually fed through the model, which is one
         short of ``len(generated)`` for a mid-step victim (its freshly
         sampled token never fed) and equal to it for a between-steps
-        preemption.  The ``PolicyStats`` snapshot is a deep copy taken
-        *before* the release, so the response's stats stay exact however
+        preemption.  The ``PolicyStats`` snapshot, taken *before* the
+        release, copies the scalar fields into a new ``records`` list of
+        the same :class:`~repro.core.policy.StepRecord` objects (never
+        mutated once recorded), so the response's stats stay exact however
         many times the sequence bounces.
         """
         pre = PreemptedSequence(
@@ -1430,7 +1431,8 @@ class BatchedEngine:
             fed=slot.position - slot.prompt_length,
             logits_history=list(slot.logits_history),
             stats_snapshot=[
-                copy.deepcopy(policy.stats) for policy in slot.policies
+                replace(policy.stats, records=list(policy.stats.records))
+                for policy in slot.policies
             ],
             admission_index=slot.admission_index,
             preemptions=slot.preemptions + 1,

@@ -52,8 +52,11 @@ fixed byte budget a quantised codec affords ~4x/8x the pages
 admission inequality admits proportionally more concurrent sequences.
 
 A request that cannot fit *now* waits in the queue (``page_deferrals``);
-one that could never fit — even after shedding prefix-cache pages — fails
-closed with ``error_cause="admission_infeasible"``.  Requests whose best
+the policies built to probe it are held and reused while it stays the
+blocked head, so a waiting head costs a demand check per step, not a
+policy rebuild.  One that could never fit — even after shedding
+prefix-cache pages — fails closed with
+``error_cause="admission_infeasible"``.  Requests whose best
 prefix match is a prompt still being prefilled are deferred until that
 prefill publishes its cache entry, so a shared prefix is computed exactly
 once (the former intra-wave deferral, generalised to chunked prefill).
@@ -174,8 +177,10 @@ class PreemptedSequence:
     part of the response), of which the first ``fed`` had actually been
     fed through the model when the preemption hit (a decode-pressure
     victim is parked with its freshly sampled token still unfed).
-    ``stats_snapshot`` holds a deep copy of the per-layer
-    :class:`~repro.core.policy.PolicyStats` at the preemption point: the
+    ``stats_snapshot`` holds a copy of the per-layer
+    :class:`~repro.core.policy.PolicyStats` at the preemption point (its
+    scalar fields plus a new ``records`` list; a recorded
+    :class:`~repro.core.policy.StepRecord` is never mutated): the
     fast re-prefill resume restores it wholesale; the replay resume
     regenerates everything except ``prefill_reused_tokens`` (a resume may
     see different prefix-cache contents) and patches that one field.
@@ -307,6 +312,18 @@ class Scheduler:
         # is strictly older than anything in ``_pending`` and re-acquires
         # pages first (anti-starvation).
         self._preempted: Deque[PreemptedSequence] = deque()
+        # Per queue, the head its last probe left waiting for pages, with
+        # the policies built for that probe: re-probing the same head
+        # reuses them instead of rebuilding them every step, and any
+        # probe drops them.  Matched by identity on a strong reference
+        # (an ``id()`` can be reused after collection).  A built policy
+        # is only bound to its pool, so a held one pins no page.
+        self._held_request: Optional[
+            Tuple["ServingRequest", List[KVCachePolicy]]
+        ] = None
+        self._held_resume: Optional[
+            Tuple[PreemptedSequence, List[KVCachePolicy]]
+        ] = None
         # telemetry
         self._page_deferrals = 0
         self._infeasible_failures = 0
@@ -592,6 +609,21 @@ class Scheduler:
         batch.prefill = self._schedule_chunks()
         return batch
 
+    def _probe_policies(
+        self,
+        head: object,
+        request: "ServingRequest",
+        held: Optional[Tuple[object, List[KVCachePolicy]]],
+    ) -> List[KVCachePolicy]:
+        """Per-layer policies to probe queue ``head`` with: the ones held
+        from its last ``"wait"`` verdict, else freshly built ones."""
+        if held is not None and held[0] is head:
+            return held[1]
+        return self.model.make_policies(
+            request.policy_factory or self.default_policy_factory,
+            kv_pools=self.kv_pools,
+        )
+
     def _has_free_slot(self) -> bool:
         if self.max_batch_size is None:
             return True
@@ -639,11 +671,9 @@ class Scheduler:
                     deferred.append(request)
                     continue
             prefix = cache.lookup(prompt) if cache is not None else None
+            held, self._held_request = self._held_request, None
             try:
-                policies = self.model.make_policies(
-                    request.policy_factory or self.default_policy_factory,
-                    kv_pools=self.kv_pools,
-                )
+                policies = self._probe_policies(request, request, held)
             except Exception as exc:
                 if prefix is not None:
                     prefix.release()
@@ -677,6 +707,7 @@ class Scheduler:
                     prefix.release()
                 if verdict == "wait":
                     self._page_deferrals += 1
+                    self._held_request = (request, policies)
                     blocked.append(request)
                     break
                 self._infeasible_failures += 1
@@ -753,11 +784,9 @@ class Scheduler:
         while self._preempted and self._has_free_slot():
             pre = self._preempted[0]
             request = pre.request
+            held, self._held_resume = self._held_resume, None
             try:
-                policies = self.model.make_policies(
-                    request.policy_factory or self.default_policy_factory,
-                    kv_pools=self.kv_pools,
-                )
+                policies = self._probe_policies(pre, request, held)
             except Exception as exc:
                 self._preempted.popleft()
                 failures.append((request, exc))
@@ -794,6 +823,7 @@ class Scheduler:
                     prefix.release()
                 if verdict == "wait":
                     self._page_deferrals += 1
+                    self._held_resume = (pre, policies)
                     break
                 # Unreachable in practice (the sequence already ran in this
                 # arena), kept fail-closed for safety.

@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core.kv_pool import KVPoolGroup
+from repro.core.policy import StepRecord
 from repro.eval.harness import POLICY_NAMES, build_policy_factory
 from repro.llm.config import ModelConfig
+from repro.llm.generation import greedy_generate_serial
 from repro.llm.model import TransformerLM
 from repro.serving import BatchedEngine, SchedulerPolicy, ServingRequest
 from repro.serving.engine import SequenceSlot
@@ -304,6 +306,111 @@ class TestPreemptionStorm:
             for r in errors
         )
         assert engine.stats()["preemption"]["preemptions"] == 0
+
+
+class TestPagePressureBookkeeping:
+    def test_blocked_head_builds_its_policies_once(
+        self, model, shared_prefix_prompts
+    ):
+        """A head blocked by page pressure is re-probed every step; its
+        policies are built once and held, so the factory runs once per
+        layer for each admission and each resume, and nothing stays held
+        or pinned at quiescence."""
+        inner = build_policy_factory(
+            "full", prompt_length=len(shared_prefix_prompts[0]),
+            cache_ratio=0.6,
+        )
+        calls = []
+
+        def factory(num_heads, head_dim):
+            calls.append((num_heads, head_dim))
+            return inner(num_heads, head_dim)
+
+        pools = make_pools(num_pages=10)
+        engine = make_engine(
+            model, shared_prefix_prompts, kv_pools=pools, batch_size=None,
+            policy_factory=factory, max_new_tokens=12,
+            scheduler_policy=SchedulerPolicy(
+                preemption=True, admission="optimistic"
+            ),
+        )
+        responses = engine.run()
+        assert all(r.finish_reason != "error" for r in responses)
+        stats = engine.stats()
+        preemption = stats["preemption"]
+        # A storm: heads were blocked and re-probed, sequences bounced.
+        assert stats["admission"]["page_deferrals"] > len(responses)
+        assert preemption["preemptions"] > 0
+        assert preemption["prefill_requeues"] == 0
+        assert len(calls) == (len(responses) + preemption["resumes"]) * LAYERS
+        assert engine.scheduler._held_request is None
+        assert engine.scheduler._held_resume is None
+        for layer, pool in enumerate(pools.pools):
+            assert pool.pages_in_use == engine.prefix_cache.pages_held(layer)
+
+    @pytest.mark.parametrize("policy_name", POLICY_NAMES)
+    def test_probed_policies_pin_no_pages(self, model, policy_name):
+        """What a held probe keeps — built, pool-bound, asked for its
+        demand — holds no page of the arena."""
+        pools = make_pools()
+        factory = build_policy_factory(
+            policy_name, prompt_length=20, cache_ratio=0.6
+        )
+        policies = model.make_policies(factory, kv_pools=pools)
+        for layer, policy in enumerate(policies):
+            assert policy.kv_pool is pools.layer(layer)
+            policy.max_kv_pages(20, 7, pools.layer(layer).page_size)
+            policy.exact_resume_by_reprefill(20, 23, 27)
+            assert policy.kv_pages_held() == 0
+        assert all(pool.pages_in_use == 0 for pool in pools.pools)
+
+    @pytest.mark.parametrize("policy_name", ["full", "unicaim"])
+    def test_twice_preempted_sequence_matches_serial(
+        self, model, shared_prefix_prompts, policy_name
+    ):
+        """Parking snapshots ``PolicyStats`` into a list of its own: the
+        sequence bounces twice (re-prefill resume for ``full``, replay for
+        ``unicaim``) and still ends with the serial run's stats."""
+        prompt = shared_prefix_prompts[3]
+        factory = build_policy_factory(
+            policy_name, prompt_length=len(prompt), cache_ratio=0.6
+        )
+        serial = greedy_generate_serial(
+            model, prompt, 12, policy_factory=factory
+        )
+        engine = make_engine(
+            model, [prompt], policy_factory=factory, max_new_tokens=12
+        )
+        rid = engine._submission_order[0]
+        preempt_at = [3, 7]
+        while engine.has_work:
+            engine.step()
+            slots = [s for s in engine.scheduler.active if s.request_id == rid]
+            if not (preempt_at and slots):
+                continue
+            if len(slots[0].generated) < preempt_at[0]:
+                continue
+            preempt_at.pop(0)
+            live = slots[0].policies
+            assert engine.preempt(rid)
+            snapshot = engine.scheduler._preempted[-1].stats_snapshot
+            for policy, snap in zip(live, snapshot):
+                assert snap.records is not policy.stats.records
+                assert len(snap.records) == len(policy.stats.records)
+                policy.stats.record(
+                    StepRecord(position=-1, cache_size=0, num_attended=0)
+                )
+                assert len(snap.records) == len(policy.stats.records) - 1
+        assert preempt_at == []
+        (response,) = engine.run()
+        preemption = engine.stats()["preemption"]
+        assert preemption["resumes"] == 2
+        assert preemption["reprefill_resumes"] == (
+            2 if policy_name == "full" else 0
+        )
+        assert response.token_ids == serial.token_ids
+        for a, b in zip(serial.policy_stats, response.policy_stats):
+            assert_stats_identical(a, b)
 
 
 class TestVictimSelection:
