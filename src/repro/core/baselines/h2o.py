@@ -16,7 +16,7 @@ import numpy as np
 
 from ..attention import attention_output, attention_scores, head_mean_scores, softmax
 from ..group_decode import batched_group_attention, gather_group_kv
-from ..kv_pool import PagedKVPool
+from ..kv_pool import PagedKVPool, put_group
 from ..policy import KVCachePolicy, SpeculationState, StepRecord
 from ..static_pruning import PrefillNeed
 
@@ -102,13 +102,18 @@ class H2OPolicy(KVCachePolicy):
         # ceil(n / page_size) pool pages that a partially emptied store
         # never returns, blowing past the total_budget+1 page reservation
         # the serving engine admits this policy under.
-        self._accumulated = {pos: float(scores[pos]) for pos in range(n)}
-        kept = set(range(n))
-        while len(kept) > self.total_budget:
-            victim = self._choose_victim(kept, current_position=n - 1)
-            kept.discard(victim)
-            self._accumulated.pop(victim, None)
-        kept_list = sorted(kept)
+        kept_list = list(range(n))
+        excess = n - self.total_budget
+        if excess > 0:
+            # Scores are fixed during the shrink, so evicting one
+            # _choose_victim pick at a time removes positions in one
+            # sorted order: non-recent ones by (score, position), then —
+            # once none is left — recent ones by the same key.
+            positions = np.arange(n)
+            recent = positions >= n - self.recent_budget
+            order = np.lexsort((positions, scores, recent))
+            kept_list = np.sort(order[excess:]).tolist()
+        self._accumulated = {pos: float(scores[pos]) for pos in kept_list}
         self._store.clear()
         self._store.bulk_append(kept_list, keys[kept_list], values[kept_list])
         self.stats.retained_after_prefill = len(self._store)
@@ -171,15 +176,15 @@ class H2OPolicy(KVCachePolicy):
         the serial earliest-position rule).
         """
         count = len(group)
+        put_group(
+            [policy._store for policy in group],
+            positions,
+            np.asarray(keys, dtype=np.float64),
+            np.asarray(values, dtype=np.float64),
+        )
         order_lists: List[List[int]] = []
-        for policy, key, value, position in zip(group, keys, values, positions):
-            position = int(position)
-            policy._store.put(
-                position,
-                np.asarray(key, dtype=np.float64),
-                np.asarray(value, dtype=np.float64),
-            )
-            policy._accumulated.setdefault(position, 0.0)
+        for policy, position in zip(group, positions):
+            policy._accumulated.setdefault(int(position), 0.0)
             # Insertions arrive in ascending position order (sorted prefill
             # + monotone decode), so the store's insertion order normally
             # *is* position order; Timsort degrades gracefully otherwise.

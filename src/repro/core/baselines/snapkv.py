@@ -18,7 +18,7 @@ import numpy as np
 
 from ..attention import attention_output
 from ..group_decode import batched_group_attention, gather_group_kv
-from ..kv_pool import PagedKVPool
+from ..kv_pool import PagedKVPool, put_group
 from ..policy import KVCachePolicy, StepRecord
 from ..static_pruning import PrefillNeed
 
@@ -183,15 +183,16 @@ class SnapKVPolicy(KVCachePolicy):
         """Vectorized decode: SnapKV never evicts after prefill, so the
         span is one padded gather (position-sorted per member, matching the
         serial read order) plus one batched masked attention call."""
+        put_group(
+            [policy._store for policy in group],
+            positions,
+            np.asarray(keys, dtype=np.float64),
+            np.asarray(values, dtype=np.float64),
+        )
         order_lists: List[List[int]] = []
         slot_lists: List[np.ndarray] = []
-        for policy, key, value, position in zip(group, keys, values, positions):
+        for policy in group:
             store = policy._store
-            store.put(
-                int(position),
-                np.asarray(key, dtype=np.float64),
-                np.asarray(value, dtype=np.float64),
-            )
             stored = store.positions()
             as_array = np.asarray(stored, dtype=np.int64)
             ascending = bool((np.diff(as_array) > 0).all())

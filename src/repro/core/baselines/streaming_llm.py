@@ -21,7 +21,7 @@ import numpy as np
 
 from ..attention import attention_output
 from ..group_decode import batched_group_attention, gather_group_kv
-from ..kv_pool import PagedKVPool, SharedKVPages
+from ..kv_pool import PagedKVPool, SharedKVPages, put_group
 from ..policy import KVCachePolicy, StepRecord
 
 
@@ -140,12 +140,13 @@ class StreamingLLMPolicy(KVCachePolicy):
         window_start = max(sinks, n - self.window)
         while self._window_positions and self._window_positions[0] < window_start:
             self._store.drop(self._window_positions.popleft())
-        for pos in range(start, sinks):
-            self._sink_positions.append(pos)
-            self._store.put(pos, keys[pos], values[pos])
-        for pos in range(max(start, window_start), n):
-            self._window_positions.append(pos)
-            self._store.put(pos, keys[pos], values[pos])
+        new_sinks = list(range(start, sinks))
+        new_window = list(range(max(start, window_start), n))
+        self._sink_positions.extend(new_sinks)
+        self._window_positions.extend(new_window)
+        if new_sinks or new_window:
+            rows = new_sinks + new_window
+            put_group([self._store] * len(rows), rows, keys[rows], values[rows])
 
         if final:
             self.stats.prefill_tokens = n
@@ -206,21 +207,22 @@ class StreamingLLMPolicy(KVCachePolicy):
         """
         evicted: List[Optional[int]] = []
         order_lists: List[List[int]] = []
-        for policy, key, value, position in zip(group, keys, values, positions):
+        for policy, position in zip(group, positions):
             victim: Optional[int] = None
             if len(policy._window_positions) == policy.window:
                 victim = policy._window_positions.popleft()
                 policy._store.drop(victim)
             policy._window_positions.append(int(position))
-            policy._store.put(
-                int(position),
-                np.asarray(key, dtype=np.float64),
-                np.asarray(value, dtype=np.float64),
-            )
             evicted.append(victim)
             order_lists.append(
                 policy._sink_positions + list(policy._window_positions)
             )
+        put_group(
+            [policy._store for policy in group],
+            positions,
+            np.asarray(keys, dtype=np.float64),
+            np.asarray(values, dtype=np.float64),
+        )
         tables = [policy._store.block_table for policy in group]
         slot_lists = [
             policy._store.slots_of(order)

@@ -43,7 +43,7 @@ from .dynamic_pruning import (
     TopKSelector,
 )
 from .group_decode import attend_selected
-from .kv_cache import SlotKVCache
+from .kv_cache import SlotKVCache, write_slots
 from .kv_pool import poison_padding_enabled, resolve_padded
 from .policy import KVCachePolicy, StepRecord
 from .static_pruning import PrefillNeed, select_heavy_tokens
@@ -243,7 +243,9 @@ class UniCAIMPolicy(KVCachePolicy):
         key = np.asarray(key, dtype=np.float64)
         value = np.asarray(value, dtype=np.float64)
 
-        evicted_position = self._insert_generated(key, value, int(position))
+        evicted_position = _insert_group(
+            [self], key[None], value[None], [int(position)]
+        )[0]
 
         slots = self.cache.occupied_slots()
         positions = self.cache.token_positions()
@@ -321,19 +323,13 @@ class UniCAIMPolicy(KVCachePolicy):
             return None
 
         queries = np.asarray(queries, dtype=np.float64)
-        victims = self._group_choose_victims(group, positions)
-        evicted: List[Optional[int]] = []
-        for row, (policy, key, value, position) in enumerate(
-            zip(group, keys, values, positions)
-        ):
-            evicted.append(
-                policy._insert_generated(
-                    np.asarray(key, dtype=np.float64),
-                    np.asarray(value, dtype=np.float64),
-                    int(position),
-                    victim_position=None if victims is None else victims[row],
-                )
-            )
+        evicted = _insert_group(
+            group,
+            np.asarray(keys, dtype=np.float64),
+            np.asarray(values, dtype=np.float64),
+            positions,
+            self._group_choose_victims(group, positions),
+        )
         slot_lists = [policy.cache.occupied_slots() for policy in group]
         position_arrays = [policy.cache.token_positions() for policy in group]
         # Exact similarity of every member, head-mean-reduced to the
@@ -499,42 +495,40 @@ class UniCAIMPolicy(KVCachePolicy):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _insert_generated(
-        self,
-        key: np.ndarray,
-        value: np.ndarray,
-        position: int,
-        victim_position: Optional[int] = None,
-    ) -> Optional[int]:
-        """Write the new token's KV pair, statically evicting if the cache is full.
+    def _claim_insert_slot(
+        self, position: int, victim_position: Optional[int]
+    ) -> Tuple[int, Optional[int]]:
+        """Free the slot the new token's KV pair goes into.
 
-        ``victim_position`` short-circuits the victim search with a
-        precomputed choice (the batched group-decode path selects every
-        member's victim in one masked reduction); it must equal what
-        :meth:`_choose_eviction_victim` would return.
+        A free slot is taken while the cache has one; otherwise the token
+        with the lowest accumulated score is statically evicted and its
+        slot reused.  ``victim_position`` short-circuits the victim search
+        with a precomputed choice (the batched group-decode path selects
+        every member's victim in one masked reduction); it must equal what
+        :meth:`_choose_eviction_victim` would return.  Returns ``(slot,
+        evicted position or None)``; the caller writes the row.
         """
         self._generated_count += 1
-        if not self.cache.is_full:
-            slot = self.cache.append(key, value, position, is_heavy=False)
-            self._slot_scores[slot] = 0.0
-            return None
-
-        if victim_position is None:
-            victim_position = self._choose_eviction_victim(position)
-        victim_slot = self.cache.slot_of_position(victim_position)
-        assert victim_slot is not None
-        victim_score = float(self._slot_scores[victim_slot])
-        self.cache.replace(victim_slot, key, value, position, is_heavy=False)
-        self._slot_scores[victim_slot] = 0.0
-        self.eviction_log.append(
-            EvictionEvent(
-                step=self._generated_count,
-                evicted_position=victim_position,
-                evicted_score=victim_score,
-                incoming_position=position,
+        cache = self.cache
+        if not cache.is_full:
+            slot = cache.take_free_slot()
+            victim_position = None
+        else:
+            if victim_position is None:
+                victim_position = self._choose_eviction_victim(position)
+            slot = cache.slot_of_position(victim_position)
+            assert slot is not None
+            self.eviction_log.append(
+                EvictionEvent(
+                    step=self._generated_count,
+                    evicted_position=victim_position,
+                    evicted_score=float(self._slot_scores[slot]),
+                    incoming_position=position,
+                )
             )
-        )
-        return victim_position
+            cache.evict(slot)
+        self._slot_scores[slot] = 0.0
+        return slot, victim_position
 
     @staticmethod
     def _group_choose_victims(
@@ -638,6 +632,36 @@ class UniCAIMPolicy(KVCachePolicy):
         if decay != 1.0:
             self._slot_scores[slots] *= decay
         self._slot_scores[slots] += step_scores
+
+
+def _insert_group(
+    group: Sequence[UniCAIMPolicy],
+    keys: np.ndarray,
+    values: np.ndarray,
+    positions: Sequence[int],
+    victims: Optional[Sequence[Optional[int]]] = None,
+) -> List[Optional[int]]:
+    """Insert each member's new token: one write for the whole span.
+
+    Every member frees its slot first (:meth:`UniCAIMPolicy._claim_insert_slot`:
+    slot metadata, static eviction and the eviction log stay per member),
+    then all rows land through one
+    :func:`~repro.core.kv_cache.write_slots` — the paper's single write
+    cycle into the statically evicted rows.  Returns each member's
+    evicted position (``None`` when a free slot was used).
+    """
+    slots: List[int] = []
+    evicted: List[Optional[int]] = []
+    for row, (policy, position) in enumerate(zip(group, positions)):
+        slot, victim = policy._claim_insert_slot(
+            int(position), None if victims is None else victims[row]
+        )
+        slots.append(slot)
+        evicted.append(victim)
+    write_slots(
+        [policy.cache for policy in group], slots, keys, values, positions
+    )
+    return evicted
 
 
 def _search_group(

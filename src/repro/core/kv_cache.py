@@ -28,9 +28,19 @@ and a write patches one row (``write_row``), an eviction frees one
 against the occupied rows in place (``search``) — no per-step gather of
 every cached key from the pool pages.  The mirror always holds exactly
 what a block-table gather of the occupied slots returns (bitwise, as
-float64); a mixed-precision demotion, which re-quantises stored rows,
-rebuilds it from the pool.  (A promotion needs no rebuild: it only pins a
-freshly allocated page, whose rows decode into the overlay unchanged.)
+float64): a write patches the row from the K rows the pool write itself
+returns (:meth:`~repro.core.kv_pool.PagedKVPool.write_rows` hands back
+each row as stored — its codec round-trip on quantised pages — with no
+arena read), and a mixed-precision demotion, which re-quantises stored
+rows, rebuilds it from the pool.  (A promotion needs no rebuild: it only
+pins a freshly allocated page, whose rows decode into the overlay
+unchanged.)
+
+Writes are batched per decode span: :func:`write_slots` lands one new row
+in each of ``S`` caches with one claim pass and one pool write
+(:func:`~repro.core.kv_pool.write_group`) — the paper's single write
+cycle into the statically evicted rows — and a single-cache ``append`` /
+``overwrite`` is its one-row case.
 
 The cache is a decode-loop hot path, so reads are zero-copy where possible:
 ``keys()`` (served from the mirror) / ``values()`` / ``token_positions()``
@@ -50,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kv_codec import CodecSpec, MixedPrecisionConfig
-from .kv_pool import BlockTable, PagedKVPool, poison_padding_enabled
+from .kv_pool import BlockTable, PagedKVPool, poison_padding_enabled, write_group
 
 
 @dataclass
@@ -297,6 +307,18 @@ class SlotKVCache:
     ) -> int:
         """Write a KV pair into a free slot and return the slot index.
 
+        Raises ``RuntimeError`` if the cache is full (see
+        :meth:`take_free_slot`).
+        """
+        slot = self.take_free_slot()
+        self._write_slot(slot, key, value, token_position, is_heavy)
+        return slot
+
+    def take_free_slot(self) -> int:
+        """Take the next free slot (ascending in a fresh cache, LIFO after
+        evictions) off the free list; the caller writes it next
+        (:func:`write_slots`).
+
         Raises
         ------
         RuntimeError
@@ -308,9 +330,7 @@ class SlotKVCache:
             raise RuntimeError(
                 "KV cache is full; evict a slot before appending"
             )
-        slot, _ = self._free_slots.popitem()
-        self._write_slot(slot, key, value, token_position, is_heavy)
-        return slot
+        return self._free_slots.popitem()[0]
 
     def append_many(
         self,
@@ -339,9 +359,8 @@ class SlotKVCache:
             raise ValueError(f"keys and values must have shape {expected}")
         if n and positions.min() < 0:
             raise ValueError("token_position must be >= 0")
-        demotions = self.pool.stats.fp_demotions
-        if n:
-            self._table.write_span(0, keys, values)
+        demotions = self._table.demotions
+        stored = self._table.write(0, keys, values)
         self._occupied[:n] = True
         self._token_positions[:n] = positions
         self._is_heavy[:n] = bool(is_heavy)
@@ -349,11 +368,10 @@ class SlotKVCache:
         self._free_slots = dict.fromkeys(range(self.capacity - 1, n - 1, -1))
         self._writes += n
         self._invalidate_views()
-        if self.pool.stats.fp_demotions != demotions:
+        if self._table.demotions != demotions:
             self._rebuild_mirror()
         elif n:
-            pages, _ = self._table.locate(np.arange(n))
-            self.key_mirror.write_rows(0, self.pool.stored_keys(pages, keys))
+            self.key_mirror.write_rows(0, stored)
         return np.arange(n, dtype=np.int64)
 
     def overwrite(
@@ -366,8 +384,6 @@ class SlotKVCache:
     ) -> None:
         """Overwrite a slot in place (single write cycle, no data movement)."""
         self._check_slot(slot)
-        if not self._occupied[slot]:
-            self._free_slots.pop(slot, None)
         self._write_slot(slot, key, value, token_position, is_heavy)
 
     def evict(self, slot: int) -> CacheEntry:
@@ -641,26 +657,27 @@ class SlotKVCache:
         token_position: int,
         is_heavy: bool,
     ) -> None:
-        if token_position < 0:
-            raise ValueError("token_position must be >= 0")
-        key = self._coerce(key, "key")
-        demotions = self.pool.stats.fp_demotions
-        page = self._table.write(slot, key, self._coerce(value, "value"))
+        write_slots(
+            [self],
+            [slot],
+            self._coerce(key, "key")[None],
+            self._coerce(value, "value")[None],
+            [token_position],
+            is_heavy,
+        )
+
+    def _commit_slot(self, slot: int, token_position: int, is_heavy: bool) -> None:
+        """Slot metadata of a row that has just been written to ``slot``."""
         if self._occupied[slot]:
             self._pos_to_slot.pop(int(self._token_positions[slot]), None)
+        else:
+            self._free_slots.pop(slot, None)
         self._occupied[slot] = True
-        self._token_positions[slot] = int(token_position)
-        self._is_heavy[slot] = bool(is_heavy)
-        self._pos_to_slot[int(token_position)] = int(slot)
+        self._token_positions[slot] = token_position
+        self._is_heavy[slot] = is_heavy
+        self._pos_to_slot[token_position] = slot
         self._writes += 1
         self._invalidate_views()
-        if self.pool.stats.fp_demotions != demotions:
-            # Demoted pages re-quantised rows this cache already mirrors.
-            self._rebuild_mirror()
-        else:
-            self.key_mirror.write_row(
-                slot, self.pool.stored_keys(np.asarray([page]), key[None])[0]
-            )
 
     def _invalidate_views(self) -> None:
         self._cached_slots = None
@@ -669,4 +686,49 @@ class SlotKVCache:
         self._cached_positions = None
 
 
-__all__ = ["SlotKVCache", "CacheEntry", "KeyMirror"]
+def write_slots(
+    caches: Sequence[SlotKVCache],
+    slots: Sequence[int],
+    keys: np.ndarray,
+    values: np.ndarray,
+    token_positions: Sequence[int],
+    is_heavy: bool = False,
+) -> None:
+    """Write row ``s`` of ``keys``/``values`` ``[S, h, d]`` into slot
+    ``slots[s]`` of ``caches[s]``, as ``token_positions[s]``.
+
+    One write for the whole span: the rows are coerced through the
+    caches' common write dtype and land through one
+    :func:`~repro.core.kv_pool.write_group` (every slot claimed, then one
+    pool write per pool).  Slot metadata is then committed per member,
+    and each key-mirror row is patched from the K rows the write returns
+    — or, when the member's claim demoted a page (which re-quantises
+    rows the mirror already holds), the mirror is rebuilt from the pool.
+    Slots must be valid; a free one leaves the free list as it is
+    written.
+    """
+    if min(token_positions) < 0:
+        raise ValueError("token_position must be >= 0")
+    dtype = caches[0].dtype
+    for cache in caches:
+        if cache.dtype != dtype:
+            raise ValueError("caches written together must share a write dtype")
+    keys = np.asarray(keys, dtype=dtype)
+    values = np.asarray(values, dtype=dtype)
+    expected = (len(caches), caches[0].num_heads, caches[0].head_dim)
+    if keys.shape != expected or values.shape != expected:
+        raise ValueError(f"keys and values must have shape {expected}")
+    tables = [cache._table for cache in caches]
+    demotions = [table.demotions for table in tables]
+    stored = write_group(tables, slots, keys, values)
+    for cache, table, demoted, slot, position, row in zip(
+        caches, tables, demotions, slots, token_positions, stored
+    ):
+        cache._commit_slot(int(slot), int(position), bool(is_heavy))
+        if table.demotions != demoted:
+            cache._rebuild_mirror()
+        else:
+            cache.key_mirror.write_row(slot, row)
+
+
+__all__ = ["SlotKVCache", "CacheEntry", "KeyMirror", "write_slots"]

@@ -631,55 +631,97 @@ class PagedKVPool:
     # ------------------------------------------------------------------
     # Row access
     # ------------------------------------------------------------------
-    def write_rows(
-        self, page: int, offset: int, keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Store ``n`` consecutive K/V rows ``[n, h, d]`` at ``(page, offset)``.
+    def write_rows(self, page, offset, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Store K/V rows ``[n, h, d]``; return the K rows as stored.
 
-        This is the quantise-on-write seam: the float codec assigns rows
+        ``page``/``offset`` address the rows in one of two forms:
+
+        * a run — ``offset`` is an int and ``page`` one page, or the pages
+          of consecutive blocks: the rows fill ``offset ..`` of the first
+          page, then each next page from its first row;
+        * scattered — ``page`` and ``offset`` are per-row ``[n]`` arrays
+          of distinct addresses on any allocated pages.
+
+        This is the quantise-on-write seam.  The float codec assigns rows
         into the arena exactly as the pre-codec pool did (same cast
-        semantics, bit-identical), quantised codecs encode the rows and
-        store bytes + per-row scales, and pages pinned full precision by
-        the mixed-precision policy write into their overlay instead.
+        semantics, bit-identical).  Quantised codecs encode every row of
+        the call — K and V together — in one codec call and store the
+        bytes and per-(row, head) scales by slice or fancy index; encoding
+        is a pure per-row function, so one call stores the same bytes as
+        ``n`` one-row calls.  Rows on pages pinned full precision by the
+        mixed-precision policy go to the overlay instead.
+
+        The returned ``[n, h, d]`` K rows (compute dtype) are bitwise what
+        :meth:`gather_keys` reads back from the written addresses, derived
+        with no arena read: the rows cast to the compute dtype on float
+        and overlay pages, their codec round-trip on quantised pages.
         """
-        self._check_allocated(page)
         n = keys.shape[0]
-        stop = offset + n
+        # ``parts``: (arena index, rows of the call) pairs covering all rows.
+        if isinstance(page, (int, np.integer)):
+            parts = [((int(page), slice(offset, offset + n)), slice(None))]
+            touched = (int(page),)
+        elif isinstance(offset, (int, np.integer)):
+            parts = []
+            row = 0
+            for p in page:
+                stop = min(n, row + self.page_size - offset)
+                parts.append(((int(p), slice(offset, offset + stop - row)), slice(row, stop)))
+                row, offset = stop, 0
+                if row == n:
+                    break
+            else:
+                raise ValueError(f"a run of {len(parts)} pages cannot hold {n} rows")
+            touched = [at[0] for at, _ in parts]
+        else:
+            at = (np.asarray(page, dtype=np.int64), np.asarray(offset, dtype=np.int64))
+            parts = [(at, slice(None))]
+            touched = set(at[0].tolist())
+        refcounts = self._refcounts
+        for p in touched:
+            if not (0 <= p < len(refcounts) and refcounts[p] > 0):
+                self._check_allocated(p)  # raises
         if self.codec.is_float:
-            self._keys[page, offset:stop] = keys
-            self._values[page, offset:stop] = values
-            return
-        if self._fp_flags[page]:
-            self._fp_keys[page][offset:stop] = keys
-            self._fp_values[page][offset:stop] = values
-            return
-        stored_k, scales_k = self.codec.encode(keys)
-        stored_v, scales_v = self.codec.encode(values)
-        self._keys[page, offset:stop] = stored_k
-        self._key_scales[page, offset:stop] = scales_k
-        self._values[page, offset:stop] = stored_v
-        self._value_scales[page, offset:stop] = scales_v
+            for at, rows in parts:
+                self._keys[at] = keys[rows]
+                self._values[at] = values[rows]
+            return np.asarray(keys, dtype=self.dtype)
+        if self._fp_keys:
+            # Per-row addresses, to find rows on full-precision pages.
+            pages = np.empty(n, dtype=np.int64)
+            offsets = np.empty(n, dtype=np.int64)
+            for (p, o), rows in parts:
+                pages[rows] = p
+                offsets[rows] = np.arange(self.page_size)[o]
+            fp = self._fp_flags[pages]
+            if fp.any():
+                exact = np.array(keys, dtype=self.dtype)
+                for i in np.flatnonzero(fp).tolist():
+                    page_i = int(pages[i])
+                    self._fp_keys[page_i][offsets[i]] = keys[i]
+                    self._fp_values[page_i][offsets[i]] = values[i]
+                if not fp.all():
+                    arena = ~fp
+                    exact[arena] = self._encode_rows(
+                        [((pages[arena], offsets[arena]), slice(None))],
+                        keys[arena],
+                        values[arena],
+                    )
+                return exact
+        return self._encode_rows(parts, keys, values)
 
-    def stored_keys(self, pages: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """``keys [n, h, d]`` as a gather returns them once written to ``pages [n]``.
-
-        Derived from the rows alone, with no arena read: the float codec
-        and full-precision overlay pages hold the rows cast to the compute
-        dtype, quantised pages hold their codec round-trip.  Encoding is a
-        pure per-row function, so the result is bitwise what
-        :meth:`gather_keys` reads back.
-        """
-        exact = np.asarray(keys, dtype=self.dtype)
-        if self.codec.is_float:
-            return exact
-        fp = self._fp_flags[pages]
-        if fp.all():
-            return exact
-        out = self.codec.decode(
-            *self.codec.encode(keys), self.head_dim, self.dtype
-        )
-        out[fp] = exact[fp]
-        return out
+    def _encode_rows(self, parts, keys, values) -> np.ndarray:
+        """Quantise K and V rows in one codec call, store them at the
+        arena indices of ``parts``, and return the K rows decoded (what a
+        gather reads back)."""
+        n = keys.shape[0]
+        stored, scales = self.codec.encode(np.concatenate((keys, values)))
+        for at, rows in parts:
+            self._keys[at] = stored[:n][rows]
+            self._key_scales[at] = scales[:n][rows]
+            self._values[at] = stored[n:][rows]
+            self._value_scales[at] = scales[n:][rows]
+        return self.codec.decode(stored[:n], scales[:n], self.head_dim, self.dtype)
 
     def page_keys(self, page: int) -> np.ndarray:
         """Key rows of one allocated page, ``[page_size, h, d]``.
@@ -770,15 +812,16 @@ class PagedKVPool:
         self._fp_flags[page] = True
         self.stats.fp_promotions += 1
 
-    def demote_page_fp(self, page: int) -> None:
+    def demote_page_fp(self, page: int) -> bool:
         """Quantise a full-precision page into the arena (idempotent).
 
         Called when a page falls out of the mixed-precision recent window:
         the overlay rows are encoded once and the overlay is dropped.
+        Returns whether the page was demoted (``False`` if it was not fp).
         """
         self._check_page(page)
         if self._fp_flags is None or not self._fp_flags[page]:
-            return
+            return False
         keys = self._fp_keys.pop(page)
         values = self._fp_values.pop(page)
         self._fp_flags[page] = False
@@ -789,6 +832,7 @@ class PagedKVPool:
         self._values[page] = stored_v
         self._value_scales[page] = scales_v
         self.stats.fp_demotions += 1
+        return True
 
     # ------------------------------------------------------------------
     # Internals
@@ -911,6 +955,9 @@ class BlockTable:
         # deterministic regardless of batch composition.
         self._fp_frontier = -1
         self._fp_demote_from = 0
+        #: Pages of this table demoted so far; a cache that mirrors its
+        #: rows compares it around a write to know its mirror went stale.
+        self.demotions = 0
 
     # ------------------------------------------------------------------
     @property
@@ -1002,41 +1049,27 @@ class BlockTable:
         self._fp_frontier = len(self._pages) - 1
         self.pool.stats.prefix_pages_adopted += len(shared.page_ids)
 
-    def write(self, slot: int, key: np.ndarray, value: np.ndarray) -> int:
-        """Write one K/V row, allocating / CoW-splitting as needed.
+    def write(self, start: int, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Write ``n`` rows ``[n, h, d]`` to the slots ``start .. start + n - 1``.
 
-        Returns the page the row landed on.
-        """
-        page, offset = self._writable(slot)
-        self.pool.write_rows(
-            page, offset, np.asarray(key)[None], np.asarray(value)[None]
-        )
-        return page
+        Every touched block is claimed first — allocated (with its
+        mixed-precision promotion and the demotions it triggers) or
+        copy-on-write split, in slot order, exactly as ``n`` one-row
+        writes would claim them — and then all rows go to the pool in one
+        :meth:`PagedKVPool.write_rows` call.  This is the bulk-load path
+        of prefill spans; :func:`write_group` is its one-row-per-table
+        form for decode spans.
 
-    def write_span(
-        self, start_slot: int, keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Write ``n`` consecutive rows starting at ``start_slot``.
-
-        Vectorised per touched page — the prefill bulk-load path.  Under a
-        quantised codec the per-(row, head) scales make encoding a pure
-        per-row function, so a span write stores bit-identical bytes to
-        the same rows written one at a time.
+        Returns the stored K rows, bitwise what a gather of the slots
+        reads back.
         """
         n = keys.shape[0]
-        ps = self.pool.page_size
-        written = 0
-        while written < n:
-            slot = start_slot + written
-            page, offset = self._writable(slot)
-            take = min(ps - offset, n - written)
-            self.pool.write_rows(
-                page,
-                offset,
-                keys[written : written + take],
-                values[written : written + take],
-            )
-            written += take
+        if not n:
+            return np.asarray(keys, dtype=self.pool.dtype)
+        first, offset = divmod(start, self.pool.page_size)
+        last = (start + n - 1) // self.pool.page_size
+        pages = [self._claim(block) for block in range(first, last + 1)]
+        return self.pool.write_rows(pages, offset, keys, values)
 
     def gather_keys(self, slots: np.ndarray) -> np.ndarray:
         pages, offsets = self.locate(slots)
@@ -1109,10 +1142,11 @@ class BlockTable:
         return pages
 
     # ------------------------------------------------------------------
-    def _writable(self, slot: int) -> Tuple[int, int]:
-        if slot < 0:
+    def _claim(self, block: int) -> int:
+        """Make ``block`` writable and return its page: allocate it on
+        first touch, or copy-on-write split it while it is shared."""
+        if block < 0:
             raise IndexError("slot must be >= 0")
-        block, offset = divmod(slot, self.pool.page_size)
         while len(self._pages) <= block:
             self._pages.append(self._MISSING)
             self._pages_array = None
@@ -1128,7 +1162,7 @@ class BlockTable:
             self._pages[block] = split
             page = split
             self._pages_array = None
-        return page, offset
+        return page
 
     def _apply_mixed_precision(self, block: int, page: int) -> None:
         """Promote a freshly allocated block / demote ones leaving the window.
@@ -1153,7 +1187,7 @@ class BlockTable:
                     break
                 p = self._pages[b]
                 if p != self._MISSING and not self.pool.is_shared(p):
-                    self.pool.demote_page_fp(p)
+                    self.demotions += self.pool.demote_page_fp(p)
             self._fp_demote_from = max(self._fp_demote_from, limit + 1)
 
     def locate(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -1296,6 +1330,71 @@ def resolve_padded(
     return PaddedAddresses(lengths=lengths, buckets=tuple(buckets))
 
 
+def write_group(
+    tables: Sequence[BlockTable],
+    slots: Sequence[int],
+    keys: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """Write row ``s`` of ``keys``/``values`` ``[S, h, d]`` to slot ``slots[s]`` of ``tables[s]``.
+
+    The write side of a decode span.  Every member's slot is claimed
+    first, in member order, so page allocations, copy-on-write splits and
+    mixed-precision promotions/demotions happen exactly as ``S`` one-row
+    writes would make them, and no byte is written before every claim
+    succeeded.  Members are then bucketed by pool and each pool takes one
+    scattered :meth:`PagedKVPool.write_rows` — one codec encode for the
+    span; on the serving engine's shared per-layer arena that is a single
+    call.  A table may appear more than once if its slots are distinct.
+
+    Returns the stored K rows ``[S, h, d]``, bitwise what each member's
+    gather of its slot reads back.
+    """
+    if not len(tables) == len(slots) == keys.shape[0] == values.shape[0]:
+        raise ValueError("tables, slots, keys and values must agree on rows")
+    pages: List[int] = []
+    offsets: List[int] = []
+    for table, slot in zip(tables, slots):
+        block, offset = divmod(int(slot), table.pool.page_size)
+        pages.append(table._claim(block))
+        offsets.append(offset)
+    pool = tables[0].pool
+    if len(pages) == 1:  # a lone row is a run: no index arrays
+        return pool.write_rows(pages[0], offsets[0], keys, values)
+    if all(table.pool is pool for table in tables):
+        return pool.write_rows(pages, offsets, keys, values)
+    # Private per-policy pools (standalone use): one write per pool.
+    by_pool: Dict[int, Tuple[PagedKVPool, List[int]]] = {}
+    for row, table in enumerate(tables):
+        by_pool.setdefault(id(table.pool), (table.pool, []))[1].append(row)
+    stored = np.empty(
+        keys.shape, dtype=np.result_type(*(p.dtype for p, _ in by_pool.values()))
+    )
+    for pool, rows in by_pool.values():
+        stored[rows] = pool.write_rows(
+            [pages[r] for r in rows], [offsets[r] for r in rows],
+            keys[rows], values[rows],
+        )
+    return stored
+
+
+def put_group(
+    stores: Sequence["PagedKVStore"],
+    positions: Sequence[int],
+    keys: np.ndarray,
+    values: np.ndarray,
+) -> None:
+    """:meth:`PagedKVStore.put` of row ``s`` into ``stores[s]`` at ``positions[s]``.
+
+    Slots are assigned member by member exactly as serial ``put`` calls
+    assign them, then the rows land through one :func:`write_group`.  A
+    store may appear more than once with distinct positions (a run of
+    one sequence's rows).
+    """
+    slots = [store._slot_for(int(pos)) for store, pos in zip(stores, positions)]
+    write_group([store._table for store in stores], slots, keys, values)
+
+
 def gather_padded(
     tables: Sequence[BlockTable],
     slot_lists: Sequence[Sequence[int]],
@@ -1419,13 +1518,9 @@ class PagedKVStore:
 
     # ------------------------------------------------------------------
     def put(self, position: int, key: np.ndarray, value: np.ndarray) -> None:
-        """Insert or overwrite the K/V row of ``position``."""
-        position = int(position)
-        slot = self._slot_of.get(position)
-        if slot is None:
-            slot = self._free_slots.pop() if self._free_slots else self._next_slot()
-            self._slot_of[position] = slot
-        self._table.write(slot, key, value)
+        """Insert or overwrite the K/V row of ``position`` (the one-row
+        case of :func:`put_group`)."""
+        put_group([self], [position], np.asarray(key)[None], np.asarray(value)[None])
 
     def bulk_append(
         self, positions: Sequence[int], keys: np.ndarray, values: np.ndarray
@@ -1446,7 +1541,7 @@ class PagedKVStore:
                 raise ValueError(f"position {position} already stored")
             self._slot_of[position] = start + i
         self._high_water = start + len(positions)
-        self._table.write_span(start, keys, values)
+        self._table.write(start, keys, values)
 
     def drop(self, position: int) -> None:
         """Forget ``position`` and recycle its slot."""
@@ -1578,9 +1673,17 @@ class PagedKVStore:
     release = clear
 
     # ------------------------------------------------------------------
-    def _next_slot(self) -> int:
-        slot = self._high_water
-        self._high_water += 1
+    def _slot_for(self, position: int) -> int:
+        """``position``'s slot, assigning one (LIFO-recycled, else the next
+        new slot) if it is not stored yet."""
+        slot = self._slot_of.get(position)
+        if slot is None:
+            if self._free_slots:
+                slot = self._free_slots.pop()
+            else:
+                slot = self._high_water
+                self._high_water += 1
+            self._slot_of[position] = slot
         return slot
 
 
@@ -1728,6 +1831,8 @@ __all__ = [
     "arena_allocator",
     "current_arena_allocator",
     "gather_padded",
+    "put_group",
     "resolve_padded",
     "resolve_codec",
+    "write_group",
 ]

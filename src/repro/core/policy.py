@@ -53,7 +53,7 @@ import numpy as np
 
 from .attention import attention_output, causal_prefix_attention
 from .group_decode import batched_group_attention, gather_group_kv
-from .kv_pool import PagedKVPool, PagedKVStore, SharedKVPages
+from .kv_pool import PagedKVPool, PagedKVStore, SharedKVPages, put_group
 from .static_pruning import PrefillNeed, accumulated_scores_from_attention
 
 
@@ -523,35 +523,26 @@ class KVCachePolicy(ABC):
     ) -> List[int]:
         """Write k draft K/V rows into ``store`` exactly as serial ``put``s.
 
-        Returns the staged positions.  Stores that are still purely
-        sequential take one :meth:`~repro.core.kv_pool.PagedKVStore.bulk_append`
-        (page-span writes are bit-identical to the same rows written one at
-        a time, CoW splits included); stores with recycled slots fall back
-        to row-by-row ``put`` so the slot layout matches what k plain
-        decode steps would have produced.
+        Returns the staged positions.  One
+        :func:`~repro.core.kv_pool.put_group` assigns the slots k plain
+        decode steps would have used (recycled ones included) and writes
+        the rows with one claim pass and one pool write.
         """
         if self._spec is not None:
             raise RuntimeError("speculation already in flight (commit first)")
         staged = [int(start_position) + i for i in range(keys.shape[0])]
-        keys = np.asarray(keys, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if store.insertion_slots_are_sequential:
-            try:
-                store.bulk_append(staged, keys, values)
-            except BaseException:
-                # A failed span write (e.g. pool exhaustion mid-chunk) must
-                # not leak draft rows: policies that read positions back off
-                # the store would attend them as if they were committed.
-                store.rollback_append([pos for pos in staged if pos in store])
-                raise
-            return staged
-        written: List[int] = []
         try:
-            for pos, key, value in zip(staged, keys, values):
-                store.put(pos, key, value)
-                written.append(pos)
+            put_group(
+                [store] * len(staged),
+                staged,
+                np.asarray(keys, dtype=np.float64),
+                np.asarray(values, dtype=np.float64),
+            )
         except BaseException:
-            store.rollback_append(written)
+            # A failed write (e.g. pool exhaustion mid-chunk) must not leak
+            # draft rows: policies that read positions back off the store
+            # would attend them as if they were committed.
+            store.rollback_append([pos for pos in staged if pos in store])
             raise
         return staged
 
@@ -768,18 +759,20 @@ class WholePromptStoreMixin:
     def _group_insert(self, keys, values, positions, group):
         """Commit each member's new K/V row; return the group's read plan.
 
-        The writes stay per-member (each sequence's block table allocates /
-        copy-on-write splits independently).  Returns ``(tables,
-        slot_lists)`` naming every member's stored rows in insertion order,
-        for one padded group read — a single arena gather when the group
-        shares the engine's per-layer pool.
+        One write for the span (:func:`~repro.core.kv_pool.put_group`:
+        each sequence's block table still allocates / copy-on-write splits
+        its own page).  Returns ``(tables, slot_lists)`` naming every
+        member's stored rows in insertion order, for one padded group
+        read — a single arena gather when the group shares the engine's
+        per-layer pool.
         """
-        for policy, key, value, position in zip(group, keys, values, positions):
-            policy._store.put(
-                int(position),
-                np.asarray(key, dtype=np.float64),
-                np.asarray(value, dtype=np.float64),
-            )
+        put_group(
+            [policy._store for policy in group],
+            positions,
+            np.asarray(keys, dtype=np.float64),
+            np.asarray(values, dtype=np.float64),
+        )
+        for policy, position in zip(group, positions):
             policy._positions.append(int(position))
         tables = [policy._store.block_table for policy in group]
         slot_lists = []

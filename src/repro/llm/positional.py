@@ -9,19 +9,26 @@ the positional subspace makes the dot product ``q(i) . k(j)`` peak at
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
+@lru_cache(maxsize=32)
 def frequency_bands(dim: int, base: float = 10000.0) -> np.ndarray:
     """Geometric frequency ladder used by sinusoidal encodings.
 
-    ``dim`` must be even; ``dim // 2`` frequencies are returned.
+    ``dim`` must be even; ``dim // 2`` frequencies are returned.  The
+    ladder is computed once per ``(dim, base)`` — a model encodes every
+    step at one width — and the cached array is read-only.
     """
     if dim < 2 or dim % 2 != 0:
         raise ValueError("dim must be an even integer >= 2")
     half = dim // 2
     exponents = np.arange(half, dtype=np.float64) / half
-    return base ** (-exponents)
+    freqs = base ** (-exponents)
+    freqs.setflags(write=False)
+    return freqs
 
 
 def sinusoidal_encoding(positions: np.ndarray, dim: int, base: float = 10000.0) -> np.ndarray:

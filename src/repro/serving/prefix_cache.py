@@ -443,16 +443,16 @@ class PrefixCache:
     ) -> SharedKVPages:
         """Copy one layer's K/V rows into freshly allocated pool pages.
 
-        Reuses the block table's span-write (page walk, allocation,
-        rollback) and detaches the resulting page run into the entry's
-        :class:`SharedKVPages` reference.
+        Reuses the block table's span write (claim every page, then one
+        pool write; released on exhaustion) and detaches the resulting
+        page run into the entry's :class:`SharedKVPages` reference.
         """
         pool = self.kv_pools.layer(layer_index)
         keys = np.asarray(keys, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         table = BlockTable(pool)
         try:
-            table.write_span(0, keys, values)
+            table.write(0, keys, values)
         except PoolExhaustedError:
             table.release()
             raise

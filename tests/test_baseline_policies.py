@@ -149,6 +149,32 @@ class TestH2O:
         cached = set(policy.cached_positions().tolist())
         assert 37 in cached and 36 in cached
 
+    @staticmethod
+    def _victim_loop_kept(scores, heavy, recent):
+        """Prompt positions the one-victim-at-a-time shrink keeps: evict
+        the lowest (score, position) non-recent token until the budget
+        holds, falling back to recent tokens once none is left."""
+        n = len(scores)
+        kept = set(range(n))
+        while len(kept) > heavy + recent:
+            candidates = [p for p in kept if p < n - recent] or list(kept)
+            kept.discard(min(candidates, key=lambda p: (scores[p], p)))
+        return sorted(kept)
+
+    def test_prefill_shrink_matches_victim_loop_with_ties(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(1, 50))
+            heavy, recent = (int(x) for x in rng.integers(1, 20, size=2))
+            # Few distinct values: most scores tie with another one.
+            scores = rng.integers(0, 4, size=n) / 4.0
+            policy = H2OPolicy(HEADS, DIM, heavy_budget=heavy, recent_budget=recent)
+            keys, values = rng.normal(size=(2, n, HEADS, DIM))
+            policy._prefill_from_scores(keys, values, scores)
+            want = self._victim_loop_kept(scores.tolist(), heavy, recent)
+            assert policy.cached_positions().tolist() == want
+            assert policy._accumulated == {p: float(scores[p]) for p in want}
+
     def test_from_budget(self):
         policy = H2OPolicy.from_budget(HEADS, DIM, budget=20, recent_fraction=0.25)
         assert policy.total_budget == 20

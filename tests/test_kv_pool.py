@@ -1,9 +1,12 @@
 """Unit tests for the paged KV pool: refcounts, CoW, exhaustion, stores."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.kv_cache import SlotKVCache
+from repro.core.kv_codec import MixedPrecisionConfig
 from repro.core.kv_pool import (
     BlockTable,
     KVPoolGroup,
@@ -13,7 +16,9 @@ from repro.core.kv_pool import (
     SharedKVPages,
     gather_padded,
     poison_padding_enabled,
+    put_group,
     set_poison_padding,
+    write_group,
 )
 
 HEADS, DIM = 2, 4
@@ -93,8 +98,8 @@ class TestBlockTable:
     def test_write_allocates_lazily_and_gathers(self):
         pool = make_pool()
         table = BlockTable(pool)
-        table.write(0, row(1), -row(1))
-        table.write(5, row(2), -row(2))  # second page
+        table.write(0, row(1)[None], -row(1)[None])
+        table.write(5, row(2)[None], -row(2)[None])  # second page
         assert table.pages_held() == 2
         keys, values = table.gather(np.asarray([5, 0]))
         np.testing.assert_allclose(keys[0], row(2))
@@ -103,7 +108,7 @@ class TestBlockTable:
     def test_gather_of_unwritten_slot_raises(self):
         pool = make_pool()
         table = BlockTable(pool)
-        table.write(0, row(1), row(1))
+        table.write(0, row(1)[None], row(1)[None])
         with pytest.raises((ValueError, IndexError)):
             table.gather(np.asarray([4]))
 
@@ -112,14 +117,14 @@ class TestBlockTable:
         be visible to the other holders of the page."""
         pool = make_pool()
         donor = BlockTable(pool)
-        donor.write_span(0, np.stack([row(1), row(2)]), np.stack([row(1), row(2)]))
+        donor.write(0, np.stack([row(1), row(2)]), np.stack([row(1), row(2)]))
         shared = SharedKVPages(pool, donor.page_ids, 2)
 
         adopter = BlockTable(pool)
         adopter.adopt(shared)
         assert pool.refcount(shared.page_ids[0]) == 2
 
-        adopter.write(0, row(99), row(99))  # CoW split
+        adopter.write(0, row(99)[None], row(99)[None])  # CoW split
         assert pool.stats.cow_splits == 1
         np.testing.assert_allclose(donor.gather_keys(np.asarray([0]))[0], row(1))
         np.testing.assert_allclose(adopter.gather_keys(np.asarray([0]))[0], row(99))
@@ -128,7 +133,7 @@ class TestBlockTable:
     def test_release_is_idempotent(self):
         pool = make_pool()
         table = BlockTable(pool)
-        table.write(0, row(1), row(1))
+        table.write(0, row(1)[None], row(1)[None])
         table.release()
         table.release()
         assert pool.pages_in_use == 0
@@ -136,10 +141,10 @@ class TestBlockTable:
     def test_adopt_requires_empty_table_and_same_pool(self):
         pool = make_pool()
         donor = BlockTable(pool)
-        donor.write(0, row(1), row(1))
+        donor.write(0, row(1)[None], row(1)[None])
         shared = SharedKVPages(pool, donor.page_ids, 1)
         occupied = BlockTable(pool)
-        occupied.write(0, row(2), row(2))
+        occupied.write(0, row(2)[None], row(2)[None])
         with pytest.raises(RuntimeError):
             occupied.adopt(shared)
         other = BlockTable(make_pool())
@@ -147,12 +152,206 @@ class TestBlockTable:
             other.adopt(shared)
 
 
+ARENAS = {
+    "fp64": {},
+    "int8": {"codec": "int8"},
+    "int4": {"codec": "int4"},
+}
+
+
+def arena_snapshot(pool):
+    """Every stored byte of ``pool`` — arena rows, scales, fp flags and
+    overlay rows — plus its counters."""
+    arrays = [pool._keys, pool._values]
+    if pool._key_scales is not None:
+        arrays += [pool._key_scales, pool._value_scales, pool._fp_flags]
+    overlay = sorted(
+        (page, pool._fp_keys[page].tobytes(), pool._fp_values[page].tobytes())
+        for page in pool._fp_keys
+    )
+    return [a.tobytes() for a in arrays], overlay, dataclasses.astuple(pool.stats)
+
+
+class TestBatchedWrites:
+    """One scattered write stores bitwise what row-by-row writes store,
+    and returns the K rows a gather reads back."""
+
+    @pytest.mark.parametrize(
+        "arena", ["fp64", "int8", "int4", "int8-overlay", "int4-overlay"]
+    )
+    def test_scattered_write_rows_matches_row_by_row(self, arena):
+        codec, _, overlay = arena.partition("-")
+        rng = np.random.default_rng(0)
+        pools = [
+            PagedKVPool(4, HEADS, DIM, num_pages=6, **ARENAS[codec])
+            for _ in range(2)
+        ]
+        for pool in pools:
+            for _ in range(6):
+                pool.alloc()
+            if overlay:
+                pool.mark_page_fp(1)
+                pool.mark_page_fp(4)
+        pages, offsets = np.divmod(rng.choice(24, size=14, replace=False), 4)
+        keys, values = rng.normal(size=(2, 14, HEADS, DIM))
+        stored = pools[0].write_rows(pages, offsets, keys, values)
+        singles = [
+            pools[1].write_rows(int(p), int(o), keys[i : i + 1], values[i : i + 1])
+            for i, (p, o) in enumerate(zip(pages, offsets))
+        ]
+        if overlay:
+            fp = pools[0]._fp_flags[pages]
+            assert fp.any() and not fp.all()
+        assert arena_snapshot(pools[0]) == arena_snapshot(pools[1])
+        assert stored.tobytes() == np.concatenate(singles).tobytes()
+        assert stored.tobytes() == pools[0].gather_keys(pages, offsets).tobytes()
+        assert stored.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "arena", ["fp64", "int8", "int4", "int8-overlay", "int4-overlay"]
+    )
+    def test_run_across_pages_matches_row_by_row(self, arena):
+        """The run form: rows fill the first page from ``offset`` on, then
+        each next page of the run from its first row."""
+        codec, _, overlay = arena.partition("-")
+        rng = np.random.default_rng(1)
+        pools = [
+            PagedKVPool(4, HEADS, DIM, num_pages=6, **ARENAS[codec])
+            for _ in range(2)
+        ]
+        for pool in pools:
+            for _ in range(6):
+                pool.alloc()
+            if overlay:
+                pool.mark_page_fp(5)
+        run = [2, 5, 0]
+        keys, values = rng.normal(size=(2, 7, HEADS, DIM))
+        stored = pools[0].write_rows(run, 3, keys, values)
+        addresses = [(2, 3)] + [(5, o) for o in range(4)] + [(0, 0), (0, 1)]
+        for i, (page, offset) in enumerate(addresses):
+            pools[1].write_rows(page, offset, keys[i : i + 1], values[i : i + 1])
+        assert arena_snapshot(pools[0]) == arena_snapshot(pools[1])
+        pages, offsets = np.asarray(addresses).T
+        assert stored.tobytes() == pools[0].gather_keys(pages, offsets).tobytes()
+        with pytest.raises(ValueError):
+            pools[0].write_rows([2, 5], 3, keys, values)  # 7 rows need 3 pages
+
+    @staticmethod
+    def _group_setup(arena):
+        """Four members on two pools: a fresh table (its claim allocates),
+        an adopter of a shared partial page (its claim CoW-splits), and a
+        partially filled private table plus a fresh one on a second pool."""
+        rng = np.random.default_rng(7)
+        pools = [
+            PagedKVPool(4, HEADS, DIM, num_pages=16, **ARENAS[arena])
+            for _ in range(2)
+        ]
+        donor = BlockTable(pools[0])
+        donor.write(0, *rng.normal(size=(2, 6, HEADS, DIM)))
+        adopter = BlockTable(pools[0])
+        adopter.adopt(SharedKVPages(pools[0], donor.page_ids, 6))
+        partial = BlockTable(pools[1])
+        partial.write(0, *rng.normal(size=(2, 2, HEADS, DIM)))
+        tables = [BlockTable(pools[0]), adopter, partial, BlockTable(pools[1])]
+        return pools, [donor] + tables, tables, [0, 6, 2, 5]
+
+    @pytest.mark.parametrize("arena", sorted(ARENAS))
+    def test_write_group_matches_row_by_row(self, arena):
+        keys, values = np.random.default_rng(8).normal(size=(2, 4, HEADS, DIM))
+        pools_a, all_a, tables_a, slots = self._group_setup(arena)
+        stored = write_group(tables_a, slots, keys, values)
+        pools_b, all_b, tables_b, _ = self._group_setup(arena)
+        singles = [
+            table.write(slot, keys[i : i + 1], values[i : i + 1])
+            for i, (table, slot) in enumerate(zip(tables_b, slots))
+        ]
+        assert pools_a[0].stats.cow_splits == 1  # the adopter split
+        for pool_a, pool_b in zip(pools_a, pools_b):
+            assert arena_snapshot(pool_a) == arena_snapshot(pool_b)
+        for table_a, table_b in zip(all_a, all_b):
+            assert table_a.page_ids == table_b.page_ids
+        assert stored.tobytes() == np.concatenate(singles).tobytes()
+        for row, (table, slot) in enumerate(zip(tables_a, slots)):
+            gathered = table.gather_keys(np.asarray([slot]))[0]
+            assert stored[row].tobytes() == gathered.tobytes()
+        # The shared page kept the donor's row for the sharer.
+        donor_rows = all_a[0].gather_keys(np.arange(6))
+        np.testing.assert_array_equal(
+            tables_a[1].gather_keys(np.arange(4)), donor_rows[:4]
+        )
+
+    def test_mixed_precision_demotion_mid_claim(self):
+        """A span and a group whose claims demote a page before its rows
+        are written store what row-by-row writes (which demote after)
+        store: encoding is a pure per-row function."""
+        mp = MixedPrecisionConfig(sink_pages=1, recent_pages=1)
+        rng = np.random.default_rng(9)
+        keys, values = rng.normal(size=(2, 14, HEADS, DIM))
+        new_k, new_v = rng.normal(size=(2, 2, HEADS, DIM))
+
+        def run(batched):
+            pool = PagedKVPool(
+                4, HEADS, DIM, num_pages=16, codec="int8", mixed_precision=mp
+            )
+            tables = [BlockTable(pool), BlockTable(pool)]
+            for table in tables:
+                if batched:
+                    table.write(0, keys, values)
+                else:
+                    for slot in range(14):
+                        table.write(slot, keys[slot : slot + 1], values[slot : slot + 1])
+            # Slot 16 opens block 4, which demotes block 3 (slots 12..15).
+            if batched:
+                stored = write_group(tables, [16, 16], new_k, new_v)
+            else:
+                stored = np.concatenate([
+                    table.write(16, new_k[i : i + 1], new_v[i : i + 1])
+                    for i, table in enumerate(tables)
+                ])
+            return pool, tables, stored
+
+        pool_a, tables_a, stored = run(batched=True)
+        pool_b, tables_b, singles = run(batched=False)
+        assert pool_a.stats.fp_demotions == 2 * 3 and pool_a.stats.fp_promotions
+        assert [t.demotions for t in tables_a] == [3, 3]
+        assert arena_snapshot(pool_a) == arena_snapshot(pool_b)
+        assert stored.tobytes() == singles.tobytes()
+        for row, table in enumerate(tables_a):
+            assert stored[row].tobytes() == table.gather_keys([16])[0].tobytes()
+            assert table.page_ids == tables_b[row].page_ids
+
+    def test_put_group_assigns_slots_like_serial_puts(self):
+        """A run of one store's rows — recycled slots, new slots and an
+        overwrite — lands where serial puts put them."""
+        rng = np.random.default_rng(10)
+        rows = rng.normal(size=(2, 12, HEADS, DIM))
+        positions = [6, 7, 2, 8]
+
+        def build():
+            pool = PagedKVPool(4, HEADS, DIM, num_pages=8, codec="int8")
+            store = PagedKVStore(HEADS, DIM, pool=pool)
+            store.bulk_append(range(6), rows[0][:6], rows[1][:6])
+            store.drop(1)
+            store.drop(3)
+            return pool, store
+
+        pool_a, store_a = build()
+        put_group([store_a] * 4, positions, rows[0][6:10], rows[1][6:10])
+        pool_b, store_b = build()
+        for i, pos in enumerate(positions):
+            store_b.put(pos, rows[0][6 + i], rows[1][6 + i])
+        order = sorted(store_b.positions())
+        assert sorted(store_a.positions()) == order
+        np.testing.assert_array_equal(store_a.slots_of(order), store_b.slots_of(order))
+        assert arena_snapshot(pool_a) == arena_snapshot(pool_b)
+
+
 class TestSharedKVPages:
     def test_prefix_slices_page_run(self):
         pool = make_pool(page_size=2, num_pages=4)
         table = BlockTable(pool)
         rows = np.stack([row(i) for i in range(5)])
-        table.write_span(0, rows, rows)
+        table.write(0, rows, rows)
         shared = SharedKVPages(pool, table.page_ids, 5)
         assert shared.full_pages == 2
         sliced = shared.prefix(3)
@@ -306,6 +505,13 @@ class TestPoisonPadding:
         yield
         set_poison_padding(old)
 
+    @pytest.fixture
+    def unpoisoned(self):
+        # The padding-poison CI lane runs this file with poisoning on.
+        old = set_poison_padding(False)
+        yield
+        set_poison_padding(old)
+
     def _two_member_gather(self):
         pool = make_pool(num_pages=8, page_size=3)
         long_store = PagedKVStore(HEADS, DIM, pool=pool)
@@ -334,7 +540,7 @@ class TestPoisonPadding:
         assert np.isnan(values[1, 2:]).all()
         assert not np.isnan(keys[0]).any()  # t_max row: no padding at all
 
-    def test_padding_aliases_real_rows_when_disabled(self):
+    def test_padding_aliases_real_rows_when_disabled(self, unpoisoned):
         assert not poison_padding_enabled()
         tables, slot_lists = self._two_member_gather()
         keys, values, _ = gather_padded(tables, slot_lists)

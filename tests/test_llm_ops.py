@@ -87,6 +87,22 @@ class TestPositional:
         with pytest.raises(ValueError):
             frequency_bands(7)
 
+    def test_frequency_bands_cached_read_only_and_exact(self):
+        freqs = frequency_bands(32, 500.0)
+        assert frequency_bands(32, 500.0) is freqs
+        assert not freqs.flags.writeable
+        with pytest.raises(ValueError):
+            freqs[0] = 2.0
+        # Bitwise the uncached ladder, and so are the encodings built on it.
+        exponents = np.arange(16, dtype=np.float64) / 16
+        assert freqs.tobytes() == (500.0 ** (-exponents)).tobytes()
+        positions = np.arange(40, dtype=np.float64)
+        angles = positions[:, None] * (10000.0 ** (-exponents))[None, :]
+        expected = np.empty((40, 32))
+        expected[:, 0::2] = np.sin(angles)
+        expected[:, 1::2] = np.cos(angles)
+        assert sinusoidal_encoding(positions, 32).tobytes() == expected.tobytes()
+
     def test_encoding_shape(self):
         enc = sinusoidal_encoding(np.arange(5), 16)
         assert enc.shape == (5, 16)

@@ -13,10 +13,19 @@ its decode steps must also do no full K gather from the pool at all.
 import numpy as np
 import pytest
 
+from repro.core.baselines import (
+    H2OPolicy,
+    QuestPolicy,
+    SnapKVPolicy,
+    StreamingLLMPolicy,
+)
 from repro.core.config import PruningConfig
+from repro.core.dynamic_pruning import CAMApproximateSelector
 from repro.core.hybrid import UniCAIMPolicy
 from repro.core.kv_cache import SlotKVCache
+from repro.core.kv_codec import Int8Codec
 from repro.core.kv_pool import PagedKVPool
+from repro.core.policy import FullCachePolicy
 
 HEADS, DIM = 2, 8
 
@@ -149,3 +158,63 @@ class TestDecodeMaterializationBudget:
         cache.evict(0)
         assert cache.slot_of_position(0) is None
         assert cache.position_to_slot_map() == {1: 1, 10: 2, 3: 3, 4: 4, 5: 5}
+
+
+GROUP_WRITE_FACTORIES = {
+    "full": lambda: FullCachePolicy(HEADS, DIM),
+    "h2o": lambda: H2OPolicy(HEADS, DIM, heavy_budget=8, recent_budget=4),
+    "quest": lambda: QuestPolicy(HEADS, DIM, page_size=4, num_pages=2),
+    "snapkv": lambda: SnapKVPolicy(
+        HEADS, DIM, prompt_budget=12, observation_window=4
+    ),
+    "streaming_llm": lambda: StreamingLLMPolicy(HEADS, DIM, sink_tokens=2, window=8),
+    "unicaim": lambda: UniCAIMPolicy(
+        HEADS, DIM, config=PruningConfig(heavy_budget=10, reserved_budget=2, top_k=4)
+    ),
+    "unicaim_cam": lambda: UniCAIMPolicy(
+        HEADS, DIM,
+        config=PruningConfig(heavy_budget=10, reserved_budget=2, top_k=4),
+        selector=CAMApproximateSelector(),
+    ),
+}
+
+
+class TestGroupWriteCallCount:
+    """A group decode step writes its members' new rows with one pool
+    write and one codec encode, however many members the span has."""
+
+    @pytest.mark.parametrize("name", sorted(GROUP_WRITE_FACTORIES))
+    def test_one_write_per_span_at_any_size(self, name, monkeypatch):
+        calls = {"write_rows": 0, "encode": 0}
+        for owner, attr in ((PagedKVPool, "write_rows"), (Int8Codec, "encode")):
+            original = getattr(owner, attr)
+
+            def counted(*args, _original=original, _attr=attr, **kwargs):
+                calls[_attr] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        seen = {}
+        for size in (2, 5):
+            rng = np.random.default_rng(size)
+            pool = PagedKVPool(8, HEADS, DIM, num_pages=64, codec="int8")
+            group = []
+            for _ in range(size):
+                policy = GROUP_WRITE_FACTORIES[name]()
+                policy.attach_pool(pool)
+                policy.prefill(
+                    rng.normal(size=(20, HEADS, DIM)),
+                    rng.normal(size=(20, HEADS, DIM)),
+                    rng.normal(size=(HEADS, 20, 20)),
+                )
+                group.append(policy)
+            for step in range(3):  # the last step evicts where the policy does
+                calls.update(write_rows=0, encode=0)
+                queries, keys, values = rng.normal(size=(3, size, HEADS, DIM))
+                out = group[0].decode_step_group(
+                    queries, keys, values, [20 + step] * size, group
+                )
+                assert out is not None
+            seen[size] = dict(calls)
+        assert seen[2] == seen[5] == {"write_rows": 1, "encode": 1}

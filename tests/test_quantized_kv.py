@@ -15,6 +15,8 @@ Two equivalence disciplines, mirroring the paged-vs-dense suite:
 import numpy as np
 import pytest
 
+from repro.core.config import PruningConfig
+from repro.core.hybrid import UniCAIMPolicy
 from repro.core.kv_codec import Int8Codec, MixedPrecisionConfig
 from repro.core.kv_pool import KVPoolGroup, PagedKVPool, PagedKVStore
 from repro.eval.harness import POLICY_NAMES, build_policy_factory
@@ -311,6 +313,76 @@ class TestMixedPrecision:
         stats = engine.stats()["kv_pool"]
         assert stats["fp_promotions"] > 0
         assert 0.0 <= stats["fp_page_fraction"] <= 1.0
+
+
+class TestUniCAIMGroupWrite:
+    """A UniCAIM group step writes every member's row in one pool write
+    and patches each key mirror from the returned rows."""
+
+    CONFIG = PruningConfig(heavy_budget=10, reserved_budget=6, top_k=4)
+    ARENAS = {
+        "int8": dict(codec="int8"),
+        "int4": dict(codec="int4"),
+        "int8-mixed": dict(
+            codec="int8",
+            mixed_precision=MixedPrecisionConfig(sink_pages=1, recent_pages=1),
+        ),
+    }
+
+    def _members(self, arena, rng):
+        pool = PagedKVPool(4, HEADS, HEAD_DIM, num_pages=64, **self.ARENAS[arena])
+        group = []
+        for _ in range(3):
+            policy = UniCAIMPolicy(HEADS, HEAD_DIM, config=self.CONFIG)
+            policy.attach_pool(pool)
+            n = 20
+            policy.prefill(
+                rng.normal(size=(n, HEADS, HEAD_DIM)),
+                rng.normal(size=(n, HEADS, HEAD_DIM)),
+                rng.normal(size=(HEADS, n, n)),
+            )
+            group.append(policy)
+        return pool, group
+
+    @pytest.mark.parametrize("arena", sorted(ARENAS))
+    def test_mirrors_equal_rebuild_and_serial_twin(self, arena):
+        pool, group = self._members(arena, np.random.default_rng(11))
+        twin_pool, twins = self._members(arena, np.random.default_rng(11))
+        rng = np.random.default_rng(12)
+        sharers = []
+        for step in range(16):
+            queries, keys, values = rng.normal(size=(3, 3, HEADS, HEAD_DIM))
+            positions = [20 + step] * 3
+            if step == 9:
+                # Another holder takes every page of member 1: its next
+                # write copy-on-write splits whichever page it lands in.
+                for p, members in ((pool, group), (twin_pool, twins)):
+                    for page in members[1].cache.block_table.page_ids:
+                        p.incref(page)
+                        sharers.append((p, page))
+            out = group[0].decode_step_group(queries, keys, values, positions, group)
+            for row, twin in enumerate(twins):
+                want = twin.decode_step(
+                    queries[row], keys[row], values[row], positions[row]
+                )
+                assert out[row].tobytes() == want.tobytes()
+            for policy, twin in zip(group, twins):
+                cache = policy.cache
+                slots = cache.occupied_slots()
+                mirrored = cache.key_mirror.rows[:, slots].copy()
+                cache._rebuild_mirror()
+                assert mirrored.tobytes() == cache.key_mirror.rows[:, slots].tobytes()
+                assert policy.eviction_log == twin.eviction_log
+                assert policy.cache.block_table.page_ids == (
+                    twin.cache.block_table.page_ids
+                )
+        for p, page in sharers:
+            p.decref(page)
+        assert pool.stats.cow_splits == twin_pool.stats.cow_splits > 0
+        assert pool.stats.fp_demotions == twin_pool.stats.fp_demotions
+        if arena == "int8-mixed":
+            assert pool.stats.fp_demotions > 0
+        assert all(policy.eviction_log for policy in group)
 
 
 class TestEngineValidation:
